@@ -79,6 +79,8 @@ struct BcConfig
     bool bypassEnabled = true;    ///< Section 5.2.3 bypass paths
     RowPolicy rowPolicy = RowPolicy::Managed;
     FirstHitPla::Variant plaVariant = FirstHitPla::Variant::FullKi;
+
+    bool operator==(const BcConfig &) const = default;
 };
 
 /** One bank's controller. */

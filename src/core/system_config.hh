@@ -10,54 +10,31 @@
  * microarchitecture (vector contexts, row policy, bypasses), the
  * serial baselines' accounting knobs, and the robustness layer (the
  * TimingChecker switch and the fault-injection plan). Each concrete
- * system consumes the subset that applies to it; the PVA-specific
- * projection is PvaConfig (toPva()).
+ * system consumes the subset that applies to it; a PvaUnit takes it
+ * as a PvaConfig, which only adds the SRAM switch.
  *
  * validate() rejects unsupportable values with a SimError(Config)
  * naming the offending field, so bad knobs fail fast with a clear
- * message instead of as undefined behavior deep inside a run.
+ * message instead of as undefined behavior deep inside a run. Every
+ * serialized form of the config comes from configFields() (below).
  */
 
 #ifndef PVA_CORE_SYSTEM_CONFIG_HH
 #define PVA_CORE_SYSTEM_CONFIG_HH
+
+#include <iosfwd>
 
 #include "core/bank_controller.hh"
 #include "sdram/device.hh"
 #include "sdram/geometry.hh"
 #include "sim/clocking.hh"
 #include "sim/fault.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace pva
 {
-
-/** Top-level configuration of a PVA memory system. */
-struct PvaConfig
-{
-    Geometry geometry{16, 1, 9, 2, 13};
-    SdramTiming timing{};
-    BcConfig bc{};
-    bool useSram = false; ///< Build the PVA-SRAM comparison system
-    bool timingCheck = false; ///< Attach the redundant TimingChecker
-    FaultPlan faults{};       ///< Fault injection (disabled by default)
-    /** Batched bank-controller ticking (see SystemConfig::batchTicking). */
-    bool batchTicking = true;
-    /** Device backend (see SystemConfig::backend; SRAM ignores it). */
-    MemBackend backend = MemBackend::Legacy;
-    unsigned salpSubarrays = 4;
-    unsigned refreshDeferWindow = 0;
-
-    /** The resolved backend policy (validated; SimError(Config) on a
-     *  bad combination). */
-    BackendPolicy
-    backendPolicy() const
-    {
-        return resolveBackendPolicy(backend, geometry.rowBits(),
-                                    timing.tREFI, timing.tRFC,
-                                    salpSubarrays, refreshDeferWindow);
-    }
-};
 
 /**
  * Configuration shared by all four evaluated memory systems.
@@ -111,87 +88,86 @@ struct SystemConfig
     /** Max cycles a refresh may move (DeferredRefresh; 0 = tREFI/2). */
     unsigned refreshDeferWindow = 0;
 
-    /** The PVA-specific projection of this configuration. */
-    PvaConfig
-    toPva(bool use_sram = false) const
+    /** The resolved backend policy (SimError(Config) on a bad
+     *  combination). */
+    BackendPolicy
+    backendPolicy() const
     {
-        PvaConfig p;
-        p.geometry = geometry;
-        p.timing = timing;
-        p.bc = bc;
-        p.useSram = use_sram;
-        p.timingCheck = timingCheck;
-        p.faults = faults;
-        p.batchTicking = batchTicking;
-        p.backend = backend;
-        p.salpSubarrays = salpSubarrays;
-        p.refreshDeferWindow = refreshDeferWindow;
-        return p;
+        return resolveBackendPolicy(backend, geometry.rowBits(),
+                                    timing.tREFI, timing.tRFC,
+                                    salpSubarrays, refreshDeferWindow);
     }
 
     /**
      * Reject unsupportable configurations with a SimError(Config)
      * naming the offending knob. Called by makeSystem() so every
      * construction path — tools, benches, sweep points — fails fast
-     * with a message instead of misbehaving downstream.
-     *
-     * (Geometry's own constructor already rejects non-power-of-two
-     * bank counts and interleave factors.)
+     * with a message instead of misbehaving downstream. Single-field
+     * ranges come from configFields(); cross-field rules are written
+     * out (Geometry's constructor checks its own shape).
      */
-    void
-    validate() const
-    {
-        auto reject = [](const std::string &detail) {
-            throw SimError(SimErrorKind::Config, "config", kNeverCycle,
-                           detail);
-        };
-        if (bc.lineWords == 0)
-            reject("bc.lineWords must be nonzero");
-        if (bc.lineWords % 2 != 0)
-            reject(csprintf("bc.lineWords %u must be even (two words "
-                            "per bus data cycle)", bc.lineWords));
-        if (bc.transactions == 0 || bc.transactions > 255)
-            reject(csprintf("bc.transactions %u must be in 1..255 "
-                            "(8-bit transaction ids; 256 would wrap "
-                            "the id counters)",
-                            bc.transactions));
-        if (bc.vectorContexts == 0)
-            reject("bc.vectorContexts must be nonzero");
-        if (bc.fifoEntries == 0)
-            reject("bc.fifoEntries must be nonzero");
-        if (geometry.interleave() > bc.lineWords)
-            reject(csprintf("interleave factor %u exceeds the %u-word "
-                            "cache line", geometry.interleave(),
-                            bc.lineWords));
-        if (timing.tCL == 0 || timing.tRCD == 0 || timing.tRP == 0)
-            reject("SDRAM timing tCL/tRCD/tRP must be nonzero");
-        if (timing.tRAS == 0)
-            reject("SDRAM timing tRAS must be nonzero");
-        if (timing.tRC < timing.tRAS)
-            reject(csprintf("tRC %u shorter than tRAS %u (activate-to-"
-                            "activate cannot beat activate-to-"
-                            "precharge)", timing.tRC, timing.tRAS));
-        if (timing.tREFI != 0 && timing.tRFC == 0)
-            reject("tRFC must be nonzero when tREFI refresh is "
-                   "enabled");
-        if (maxOutstanding == 0)
-            reject("maxOutstanding must be nonzero");
-        auto checkRate = [&](double rate, const char *field) {
-            if (!(rate >= 0.0 && rate <= 1.0))
-                reject(csprintf("fault rate %s = %g outside [0, 1]",
-                                field, rate));
-        };
-        checkRate(faults.refreshStallRate, "refreshStallRate");
-        checkRate(faults.bcStallRate, "bcStallRate");
-        checkRate(faults.dropTransferRate, "dropTransferRate");
-        checkRate(faults.corruptFirstHitRate, "corruptFirstHitRate");
-        // Backend knobs: resolving throws SimError(Config) naming the
-        // offending field on any unsupportable combination.
-        (void)resolveBackendPolicy(backend, geometry.rowBits(),
-                                   timing.tREFI, timing.tRFC,
-                                   salpSubarrays, refreshDeferWindow);
-    }
+    void validate() const;
+
+    bool operator==(const SystemConfig &) const = default;
 };
+
+/** Configuration of a PvaUnit: the SystemConfig it reads its knobs
+ *  from, plus which device family to build. */
+struct PvaConfig : SystemConfig
+{
+    bool useSram = false; ///< Build the PVA-SRAM comparison system
+};
+
+/**
+ * One leaf field of SystemConfig. configFields() lists all of them;
+ * the tool flags, fleet-scenario keys, repro capsule, journal
+ * fingerprint, JSON envelope and validate()'s range checks are all
+ * generated from it (docs/API.md), so adding a knob is one entry.
+ */
+struct ConfigField
+{
+    enum class Type { Unsigned, U64, Real, Bool, Enum };
+
+    const char *name = nullptr; ///< The one JSON name on every surface
+    const char *doc = nullptr;  ///< One line for --help and docs/API.md
+    double min = 0;             ///< Valid range of numeric fields,
+    double max = 4294967295.0;  ///< checked by validate()
+    const char *flag = nullptr; ///< Tool flag, if any
+    /** Flag argument form ("N", "on|off", the enum's names joined by
+     *  '|'); nullptr for a value-less switch that sets true. */
+    const char *form = "N";
+    bool scenario = false; ///< Accepted as a fleet-scenario key
+    Type type = Type::Unsigned;
+    /** Canonical text: decimal integers, shortest round-trip reals,
+     *  "true"/"false", enum names. */
+    std::string (*get)(const SystemConfig &) = nullptr;
+    /** Parse canonical text; false when malformed. Geometry fields
+     *  rebuild the Geometry (SimError(Config) on a bad shape). */
+    bool (*set)(SystemConfig &, const std::string &) = nullptr;
+    /** The value as a number (range checks); nullptr for Bool/Enum. */
+    double (*number)(const SystemConfig &) = nullptr;
+};
+
+/** Every leaf field of SystemConfig, in canonical order. */
+const std::vector<ConfigField> &configFields();
+
+/** The field named @p name; nullptr when there is none. */
+const ConfigField *findConfigField(const std::string &name);
+
+/** What a field's value must look like, for diagnostics. */
+std::string expectedValue(const ConfigField &field);
+
+/** Write every field as "name": value, separated by @p separator. */
+void writeConfigJson(std::ostream &os, const SystemConfig &config,
+                     const char *separator);
+
+/** "name=value;" over every field: the journal fingerprint's input. */
+std::string canonicalConfigText(const SystemConfig &config);
+
+/** Set @p field from a parsed JSON value; false when its JSON type or
+ *  text does not fit the field. */
+bool setConfigField(const ConfigField &field, SystemConfig &config,
+                    const json::Value &value);
 
 } // namespace pva
 

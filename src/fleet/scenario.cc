@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "kernels/sweep.hh"
-#include "sim/clocking.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -25,13 +24,24 @@ fail(const std::string &detail)
                    detail);
 }
 
-/** Reject keys outside @p allowed so typos fail loudly. */
+/** The SystemConfig field a scenario key names; nullptr for other
+ *  keys (configFields() marks which fields scenarios accept). */
+const ConfigField *
+scenarioField(const std::string &key)
+{
+    const ConfigField *f = findConfigField(key);
+    return f && f->scenario ? f : nullptr;
+}
+
+/** Reject keys outside @p allowed (and, with @p config_keys, the
+ *  scenario config fields) so typos fail loudly. */
 void
 checkKeys(const json::Value &obj, const char *where,
-          std::initializer_list<const char *> allowed)
+          std::initializer_list<const char *> allowed,
+          bool config_keys = false)
 {
     for (const auto &[key, value] : obj.object()) {
-        bool known = false;
+        bool known = config_keys && scenarioField(key);
         for (const char *a : allowed)
             known = known || key == a;
         if (!known) {
@@ -199,10 +209,9 @@ parseScenario(const json::Value &doc)
 {
     requireObject(doc, "scenario");
     checkKeys(doc, "scenario",
-              {"kind", "name", "system", "policy", "aging", "clocking",
-               "backend", "subarrays", "refreshWindow", "check",
-               "shards", "seed", "maxCycles", "perStreamStats", "shed",
-               "tenants"});
+              {"kind", "name", "system", "policy", "aging", "shards",
+               "seed", "maxCycles", "perStreamStats", "shed", "tenants"},
+              true);
 
     const std::string kind = stringField(doc, "kind", "scenario", "");
     if (kind != "fleet") {
@@ -216,14 +225,7 @@ parseScenario(const json::Value &doc)
 
     const std::string system =
         stringField(doc, "system", "scenario", "pva");
-    bool found = false;
-    for (SystemKind k : allSystems()) {
-        if (system == systemShortName(k)) {
-            fc.system = k;
-            found = true;
-        }
-    }
-    if (!found)
+    if (!systemByShortName(system, fc.system))
         fail(csprintf("unknown scenario.system '%s'", system.c_str()));
 
     const std::string policy =
@@ -236,28 +238,14 @@ parseScenario(const json::Value &doc)
     fc.arbiter.agingThreshold =
         u64Field(doc, "aging", "scenario", fc.arbiter.agingThreshold);
 
-    const std::string clocking =
-        stringField(doc, "clocking", "scenario", "event");
-    if (!parseClockingMode(clocking, fc.config.clocking)) {
-        fail(csprintf("unknown scenario.clocking '%s' "
-                      "(try: event exhaustive)",
-                      clocking.c_str()));
+    for (const auto &[key, value] : doc.object()) {
+        const ConfigField *f = scenarioField(key);
+        if (f && !setConfigField(*f, fc.config, value)) {
+            fail(csprintf("scenario.%s must be %s, not '%s'", f->name,
+                          expectedValue(*f).c_str(),
+                          value.string().c_str()));
+        }
     }
-    const std::string backend =
-        stringField(doc, "backend", "scenario",
-                    backendName(fc.config.backend));
-    if (!parseMemBackend(backend, fc.config.backend)) {
-        fail(csprintf("unknown scenario.backend '%s' "
-                      "(try: legacy salp deferred)",
-                      backend.c_str()));
-    }
-    fc.config.salpSubarrays = static_cast<unsigned>(u64Field(
-        doc, "subarrays", "scenario", fc.config.salpSubarrays));
-    fc.config.refreshDeferWindow = static_cast<unsigned>(u64Field(
-        doc, "refreshWindow", "scenario",
-        fc.config.refreshDeferWindow));
-    fc.config.timingCheck =
-        boolField(doc, "check", "scenario", fc.config.timingCheck);
 
     fc.shards = static_cast<unsigned>(
         u64Field(doc, "shards", "scenario", 1));

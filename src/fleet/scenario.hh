@@ -40,6 +40,11 @@
  *     ]
  *   }
  *
+ * The SystemConfig keys ("clocking", "check", "backend", "subarrays",
+ * "refreshWindow") are the field-table entries marked as scenario keys
+ * (core/system_config.hh), parsed by the same code as every other
+ * config surface.
+ *
  * Execution knobs that belong to the invoking machine, not the
  * workload — worker threads, retry budget — stay on the command line;
  * callers set FleetConfig::jobs/retries after parsing.

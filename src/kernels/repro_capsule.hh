@@ -29,7 +29,7 @@ namespace pva
 struct ReproCapsule
 {
     /** Capsule format version (the file's schemaVersion field). */
-    static constexpr int kSchemaVersion = 1;
+    static constexpr int kSchemaVersion = 2;
     /** The file's kind tag. */
     static constexpr const char *kKind = "pva-repro-capsule";
 
@@ -55,7 +55,9 @@ void writeCapsuleFile(const std::string &path,
                       const ReproCapsule &capsule);
 
 /** Parse a capsule file; throws SimError(Config) on a missing or
- *  malformed file, schema mismatch, or unknown enum names. */
+ *  malformed file, schema mismatch, or unknown enum names, and
+ *  SimError(Corruption) when the stored fingerprint does not match
+ *  the one recomputed from the loaded request. */
 ReproCapsule loadCapsule(const std::string &path);
 
 /**

@@ -54,6 +54,30 @@ systemShortName(SystemKind kind)
     return "?";
 }
 
+bool
+systemByShortName(const std::string &name, SystemKind &out)
+{
+    for (SystemKind kind : allSystems()) {
+        if (name == systemShortName(kind)) {
+            out = kind;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+kernelByName(const std::string &name, KernelId &out)
+{
+    for (KernelId k : allKernels()) {
+        if (kernelSpec(k).name == name) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::unique_ptr<MemorySystem>
 makeSystem(SystemKind kind, const SystemConfig &config)
 {
@@ -61,9 +85,9 @@ makeSystem(SystemKind kind, const SystemConfig &config)
     const std::string name = systemShortName(kind);
     switch (kind) {
       case SystemKind::PvaSdram:
-        return std::make_unique<PvaUnit>(name, config.toPva(false));
+        return std::make_unique<PvaUnit>(name, PvaConfig{config, false});
       case SystemKind::PvaSram:
-        return std::make_unique<PvaUnit>(name, config.toPva(true));
+        return std::make_unique<PvaUnit>(name, PvaConfig{config, true});
       case SystemKind::CacheLine: {
         CacheLineConfig cl;
         cl.lineWords = config.bc.lineWords;

@@ -47,6 +47,14 @@ const char *systemName(SystemKind kind);
  *  "sram") as accepted by the tools' --system flag. */
 const char *systemShortName(SystemKind kind);
 
+/** Inverse of systemShortName(); false (and @p out untouched) for an
+ *  unknown name. */
+bool systemByShortName(const std::string &name, SystemKind &out);
+
+/** The kernel whose KernelSpec::name is @p name; false (and @p out
+ *  untouched) for an unknown name. */
+bool kernelByName(const std::string &name, KernelId &out);
+
 /** Instantiate a fresh memory system of the given kind under the
  *  given configuration. */
 std::unique_ptr<MemorySystem> makeSystem(SystemKind kind,

@@ -26,13 +26,6 @@ namespace pva
 namespace
 {
 
-/** JSON string escaping for failure diagnostics. */
-std::string
-jsonEscape(const std::string &s)
-{
-    return json::escape(s);
-}
-
 /** Per-attempt fault-seed advance: a retry of a fault-injected point
  *  must explore a different fault timeline, not replay the failure. */
 constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
@@ -71,7 +64,7 @@ SweepReport::dumpJson(std::ostream &os) const
            << "\", \"stride\": " << f.stride
            << ", \"alignment\": " << f.alignment
            << ", \"attempts\": " << f.attempts << ", \"error\": \""
-           << jsonEscape(f.error) << "\"}";
+           << json::escape(f.error) << "\"}";
     }
     os << (failures.empty() ? "],\n" : "\n  ],\n") << "  \"quarantine\": [";
     for (std::size_t i = 0; i < quarantine.size(); ++i) {
@@ -81,8 +74,8 @@ SweepReport::dumpJson(std::ostream &os) const
            << csprintf("%016llx",
                        static_cast<unsigned long long>(q.fingerprint))
            << "\", \"faultSeed\": " << q.faultSeed << ", \"capsule\": \""
-           << jsonEscape(q.capsulePath) << "\", \"error\": \""
-           << jsonEscape(q.error) << "\"}";
+           << json::escape(q.capsulePath) << "\", \"error\": \""
+           << json::escape(q.error) << "\"}";
     }
     os << (quarantine.empty() ? "]\n" : "\n  ]\n") << "}\n";
 }

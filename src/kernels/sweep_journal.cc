@@ -38,16 +38,6 @@ fnv1a(const std::string &s, std::uint64_t hash = 0xcbf29ce484222325ULL)
     return fnv1a(s.data(), s.size(), hash);
 }
 
-/** log2 of the internal-bank count (Geometry stores only 1 << bits). */
-unsigned
-ibankBitsOf(const Geometry &g)
-{
-    unsigned bits = 0;
-    while ((1u << bits) < g.internalBanks())
-        ++bits;
-    return bits;
-}
-
 const char *
 pointStatusName(PointStatus status)
 {
@@ -75,30 +65,6 @@ parsePointStatus(const std::string &name, PointStatus &out)
         return false;
     }
     return true;
-}
-
-bool
-systemByShortName(const std::string &name, SystemKind &out)
-{
-    for (SystemKind kind : allSystems()) {
-        if (name == systemShortName(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-kernelByName(const std::string &name, KernelId &out)
-{
-    for (KernelId k : allKernels()) {
-        if (kernelSpec(k).name == name) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
 }
 
 [[noreturn]] void
@@ -206,39 +172,11 @@ parseRecord(const json::Value &v, JournalRecord &out)
 std::uint64_t
 fingerprintConfig(const SystemConfig &config)
 {
-    // Canonical textual serialization of every field that determines
-    // simulated behavior. Wall-clock budgets are deliberately absent:
-    // they bound the host, not the simulation. Extending SystemConfig
-    // without extending this serialization silently weakens resume
-    // safety — keep them in lockstep.
-    const Geometry &g = config.geometry;
-    std::string s = csprintf(
-        "geometry:%u,%u,%u,%u,%u;"
-        "timing:%u,%u,%u,%u,%u,%u,%u,%u;"
-        "bc:%u,%u,%u,%u,%u,%d,%d,%d;"
-        "sys:%u,%d,%d,%d,%d;"
-        "backend:%d,%u,%u;"
-        "faults:%llu,%.17g,%.17g,%.17g,%.17g",
-        g.banks(), g.interleave(), g.colBits(), ibankBitsOf(g),
-        g.rowBits(), config.timing.tRCD, config.timing.tCL,
-        config.timing.tRP, config.timing.tRAS, config.timing.tRC,
-        config.timing.tWR, config.timing.tREFI, config.timing.tRFC,
-        config.bc.fifoEntries, config.bc.vectorContexts,
-        config.bc.lineWords, config.bc.transactions,
-        config.bc.fhcLatency, static_cast<int>(config.bc.bypassEnabled),
-        static_cast<int>(config.bc.rowPolicy),
-        static_cast<int>(config.bc.plaVariant), config.maxOutstanding,
-        static_cast<int>(config.optimisticLineReuse),
-        static_cast<int>(config.timingCheck),
-        static_cast<int>(config.clocking),
-        static_cast<int>(config.batchTicking),
-        static_cast<int>(config.backend), config.salpSubarrays,
-        config.refreshDeferWindow,
-        static_cast<unsigned long long>(config.faults.seed),
-        config.faults.refreshStallRate, config.faults.bcStallRate,
-        config.faults.dropTransferRate,
-        config.faults.corruptFirstHitRate);
-    return fnv1a(s);
+    // Every configFields() entry, so every field that determines
+    // simulated behavior is covered by construction. Wall-clock
+    // budgets are not config fields: they bound the host, not the
+    // simulation.
+    return fnv1a(canonicalConfigText(config));
 }
 
 std::uint64_t

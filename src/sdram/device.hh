@@ -70,6 +70,8 @@ struct SdramTiming
      */
     unsigned tREFI = 0;
     unsigned tRFC = 10; ///< Refresh cycle time (all banks unavailable)
+
+    bool operator==(const SdramTiming &) const = default;
 };
 
 /** One operation a bank controller can ask a device to perform. */

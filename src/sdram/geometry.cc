@@ -9,7 +9,7 @@ namespace pva
 Geometry::Geometry(unsigned banks, unsigned interleave, unsigned col_bits,
                    unsigned ibank_bits, unsigned row_bits)
     : numBanks(banks), numInterleave(interleave), columnBits(col_bits),
-      ibankBits(ibank_bits), rowAddressBits(row_bits)
+      internalBankBits(ibank_bits), rowAddressBits(row_bits)
 {
     if (!isPowerOfTwo(banks)) {
         throw SimError(SimErrorKind::Config, "geometry", kNeverCycle,
@@ -29,7 +29,7 @@ WordAddr
 Geometry::compose(unsigned bank, const DeviceCoords &c) const
 {
     WordAddr local = (static_cast<WordAddr>(c.row)
-                      << (columnBits + ibankBits)) |
+                      << (columnBits + internalBankBits)) |
                      (static_cast<WordAddr>(c.internalBank) << columnBits) |
                      c.col;
     WordAddr block = local >> nBits;

@@ -61,7 +61,8 @@ class Geometry
     unsigned bankBits() const { return mBits; }
     unsigned interleave() const { return numInterleave; }
     unsigned interleaveBits() const { return nBits; }
-    unsigned internalBanks() const { return 1u << ibankBits; }
+    unsigned internalBanks() const { return 1u << internalBankBits; }
+    unsigned ibankBits() const { return internalBankBits; }
     unsigned colBits() const { return columnBits; }
     unsigned rowBits() const { return rowAddressBits; }
 
@@ -69,7 +70,7 @@ class Geometry
     std::uint64_t
     wordsPerBank() const
     {
-        return 1ULL << (columnBits + ibankBits + rowAddressBits);
+        return 1ULL << (columnBits + internalBankBits + rowAddressBits);
     }
 
     /** The paper's DecodeBank(): which external bank holds this word. */
@@ -99,9 +100,9 @@ class Geometry
         c.col =
             static_cast<std::uint32_t>(local & ((1ULL << columnBits) - 1));
         c.internalBank = static_cast<unsigned>(
-            (local >> columnBits) & ((1ULL << ibankBits) - 1));
+            (local >> columnBits) & ((1ULL << internalBankBits) - 1));
         c.row = static_cast<std::uint32_t>(
-            (local >> (columnBits + ibankBits)) &
+            (local >> (columnBits + internalBankBits)) &
             ((1ULL << rowAddressBits) - 1));
         return c;
     }
@@ -109,13 +110,15 @@ class Geometry
     /** Inverse of decompose() for bank @p bank. */
     WordAddr compose(unsigned bank, const DeviceCoords &c) const;
 
+    bool operator==(const Geometry &) const = default;
+
   private:
     unsigned numBanks;
     unsigned mBits;
     unsigned numInterleave;
     unsigned nBits;
     unsigned columnBits;
-    unsigned ibankBits;
+    unsigned internalBankBits;
     unsigned rowAddressBits;
 };
 

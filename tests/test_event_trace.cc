@@ -35,7 +35,7 @@ TEST(JsonEnvelope, CarriesSchemaVersionToolAndConfig)
         env.section("run") << "{\"cycles\": 42}";
     }
     const std::string out = os.str();
-    EXPECT_EQ(out.rfind("{\"schemaVersion\": 1, \"tool\": "
+    EXPECT_EQ(out.rfind("{\"schemaVersion\": 2, \"tool\": "
                         "\"enveloped\"", 0), 0u) << out;
     EXPECT_NE(out.find("\"config\": {\"banks\": 16"),
               std::string::npos) << out;

@@ -44,26 +44,24 @@ struct ToolOptions
     SystemConfig config{};
 };
 
-/** Map the --system name to a SystemKind; fatal on unknown names. */
+/** Map a --system name to a SystemKind; fatal on unknown names. */
 inline SystemKind
-systemKindFor(const ToolOptions &opts)
+systemKindFor(const std::string &name)
 {
-    for (SystemKind kind : allSystems()) {
-        if (opts.system == systemShortName(kind))
-            return kind;
-    }
+    SystemKind kind;
+    if (systemByShortName(name, kind))
+        return kind;
     fatal("unknown system '%s' (try: pva cacheline gathering sram)",
-          opts.system.c_str());
+          name.c_str());
 }
 
 /** Map the --kernel name to a KernelId; fatal on unknown names. */
 inline KernelId
 kernelFor(const ToolOptions &opts)
 {
-    for (KernelId k : allKernels()) {
-        if (kernelSpec(k).name == opts.kernel)
-            return k;
-    }
+    KernelId k;
+    if (kernelByName(opts.kernel, k))
+        return k;
     fatal("unknown kernel '%s' (try: copy saxpy scale swap tridiag "
           "vaxpy copy2 scale2)",
           opts.kernel.c_str());

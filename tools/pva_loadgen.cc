@@ -95,17 +95,6 @@ struct LoadgenOptions
     SystemConfig config{};
 };
 
-SystemKind
-kindFor(const std::string &name)
-{
-    for (SystemKind kind : allSystems()) {
-        if (name == systemShortName(kind))
-            return kind;
-    }
-    fatal("unknown system '%s' (try: pva cacheline gathering sram)",
-          name.c_str());
-}
-
 std::vector<std::string>
 splitCommas(const std::string &list)
 {
@@ -304,7 +293,7 @@ TrafficConfig
 trafficConfigFor(const LoadgenOptions &opts)
 {
     TrafficConfig tc;
-    tc.system = kindFor(opts.system);
+    tc.system = systemKindFor(opts.system);
     tc.config = opts.config;
     if (!parseArbPolicy(opts.policy, tc.arbiter.policy))
         fatal("unknown policy '%s' (try: fifo rr priority)",
@@ -355,7 +344,7 @@ runSweep(const ToolApp &app, const LoadgenOptions &opts)
         sc.offeredLoads.push_back(std::strtod(l.c_str(), nullptr));
     sc.systems.clear();
     for (const std::string &s : splitCommas(opts.systems))
-        sc.systems.push_back(kindFor(s));
+        sc.systems.push_back(systemKindFor(s));
     sc.jobs = opts.jobs;
     sc.retries = opts.retries;
 
@@ -467,7 +456,7 @@ fleet::FleetConfig
 fleetConfigFor(const LoadgenOptions &opts)
 {
     fleet::FleetConfig fc;
-    fc.system = kindFor(opts.system);
+    fc.system = systemKindFor(opts.system);
     fc.config = opts.config;
     if (!parseArbPolicy(opts.policy, fc.arbiter.policy))
         fatal("unknown policy '%s' (try: fifo rr priority)",

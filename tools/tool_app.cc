@@ -17,17 +17,6 @@ namespace pva::tools
 namespace
 {
 
-const char *
-rowPolicyName(RowPolicy policy)
-{
-    switch (policy) {
-      case RowPolicy::Managed: return "managed";
-      case RowPolicy::AlwaysOpen: return "open";
-      case RowPolicy::AlwaysClose: return "close";
-    }
-    return "?";
-}
-
 unsigned long long
 parseNum(const std::string &flag, const std::string &value)
 {
@@ -75,18 +64,20 @@ ToolApp::ToolApp(std::string tool_name)
 ToolApp::~ToolApp() = default;
 
 void
+ToolApp::add(const char *flag_name, const char *metavar, const char *help,
+             Apply apply)
+{
+    specs.push_back({flag_name, metavar ? metavar : "", help,
+                     std::move(apply), metavar != nullptr});
+}
+
+void
 ToolApp::flag(const char *flag_name, const char *help,
               std::function<void()> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.help = help;
-    s.takesValue = false;
-    s.apply = [handler = std::move(handler)](const std::string &,
-                                             const std::string &) {
-        handler();
-    };
-    specs.push_back(std::move(s));
+    add(flag_name, nullptr, help,
+        [handler = std::move(handler)](const std::string &,
+                                       const std::string &) { handler(); });
 }
 
 void
@@ -94,16 +85,9 @@ ToolApp::option(const char *flag_name, const char *metavar,
                 const char *help,
                 std::function<void(const std::string &)> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.metavar = metavar;
-    s.help = help;
-    s.takesValue = true;
-    s.apply = [handler = std::move(handler)](const std::string &,
-                                             const std::string &v) {
-        handler(v);
-    };
-    specs.push_back(std::move(s));
+    add(flag_name, metavar, help,
+        [handler = std::move(handler)](const std::string &,
+                                       const std::string &v) { handler(v); });
 }
 
 void
@@ -111,16 +95,11 @@ ToolApp::numOption(const char *flag_name, const char *metavar,
                    const char *help,
                    std::function<void(unsigned long long)> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.metavar = metavar;
-    s.help = help;
-    s.takesValue = true;
-    s.apply = [handler = std::move(handler)](const std::string &f,
-                                             const std::string &v) {
-        handler(parseNum(f, v));
-    };
-    specs.push_back(std::move(s));
+    add(flag_name, metavar, help,
+        [handler = std::move(handler)](const std::string &f,
+                                       const std::string &v) {
+            handler(parseNum(f, v));
+        });
 }
 
 void
@@ -128,16 +107,11 @@ ToolApp::realOption(const char *flag_name, const char *metavar,
                     const char *help,
                     std::function<void(double)> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.metavar = metavar;
-    s.help = help;
-    s.takesValue = true;
-    s.apply = [handler = std::move(handler)](const std::string &f,
-                                             const std::string &v) {
-        handler(parseReal(f, v));
-    };
-    specs.push_back(std::move(s));
+    add(flag_name, metavar, help,
+        [handler = std::move(handler)](const std::string &f,
+                                       const std::string &v) {
+            handler(parseReal(f, v));
+        });
 }
 
 void
@@ -152,96 +126,27 @@ void
 ToolApp::addSystemFlags(SystemConfig &config)
 {
     configToValidate = &config;
-    numOption("--banks", "N", "external bank count (power of two)",
-              [&config](unsigned long long n) {
-                  config.geometry =
-                      Geometry(n, config.geometry.interleave());
-              });
-    numOption("--interleave", "N",
-              "words per consecutive block in one bank",
-              [&config](unsigned long long n) {
-                  config.geometry =
-                      Geometry(config.geometry.banks(), n);
-              });
-    numOption("--vcs", "N", "vector contexts per bank controller",
-              [&config](unsigned long long n) {
-                  config.bc.vectorContexts = n;
-              });
-    option("--row-policy", "managed|open|close",
-           "bank-controller row management policy",
-           [this, &config](const std::string &p) {
-               if (p == "managed")
-                   config.bc.rowPolicy = RowPolicy::Managed;
-               else if (p == "open")
-                   config.bc.rowPolicy = RowPolicy::AlwaysOpen;
-               else if (p == "close")
-                   config.bc.rowPolicy = RowPolicy::AlwaysClose;
-               else
-                   usage();
-           });
-    numOption("--refresh", "TREFI",
-              "auto-refresh interval in cycles (0 = off)",
-              [&config](unsigned long long n) {
-                  config.timing.tREFI = n;
-              });
-    option("--backend", "legacy|salp|deferred",
-           "memory-device backend (docs/DEVICE.md)",
-           [&config](const std::string &v) {
-               if (!parseMemBackend(v, config.backend))
-                   fatal("--backend expects 'legacy', 'salp' or "
-                         "'deferred', got '%s'", v.c_str());
-           });
-    numOption("--subarrays", "N",
-              "row-buffer subarrays per internal bank (salp backend)",
-              [&config](unsigned long long n) {
-                  config.salpSubarrays = n;
-              });
-    numOption("--refresh-window", "N",
-              "max cycles a refresh may move (deferred backend; "
-              "0 = tREFI/2)",
-              [&config](unsigned long long n) {
-                  config.refreshDeferWindow = n;
-              });
-    option("--clocking", "exhaustive|event",
-           "simulation clocking discipline",
-           [&config](const std::string &mode) {
-               if (!parseClockingMode(mode, config.clocking))
-                   fatal("--clocking expects 'exhaustive' or "
-                         "'event', got '%s'", mode.c_str());
-           });
-    flag("--check", "attach the redundant timing/data checker",
-         [&config] { config.timingCheck = true; });
-    option("--batching", "on|off",
-           "batched bank-controller ticking (off = tick every BC "
-           "every cycle, the reference behaviour)",
-           [&config](const std::string &v) {
-               if (v == "on")
-                   config.batchTicking = true;
-               else if (v == "off")
-                   config.batchTicking = false;
-               else
-                   fatal("--batching expects 'on' or 'off', got '%s'",
-                         v.c_str());
-           });
-    numOption("--fault-seed", "N", "fault-injection RNG seed",
-              [&config](unsigned long long n) {
-                  config.faults.seed = n;
-              });
-    realOption("--fault-refresh", "R", "refresh-stall fault rate",
-               [&config](double r) {
-                   config.faults.refreshStallRate = r;
-               });
-    realOption("--fault-bc-stall", "R",
-               "bank-controller stall fault rate",
-               [&config](double r) { config.faults.bcStallRate = r; });
-    realOption("--fault-drop", "R", "dropped-transfer fault rate",
-               [&config](double r) {
-                   config.faults.dropTransferRate = r;
-               });
-    realOption("--fault-corrupt", "R", "FirstHit corruption fault rate",
-               [&config](double r) {
-                   config.faults.corruptFirstHitRate = r;
-               });
+    for (const ConfigField &f : configFields()) {
+        if (!f.flag)
+            continue;
+        add(f.flag, f.form, f.doc, [&f, &config](const std::string &flag,
+                                                 const std::string &value) {
+            // A switch sets true; a valued boolean is spelt on|off.
+            std::string text = value;
+            if (f.type == ConfigField::Type::Bool) {
+                text = (!f.form || value == "on") ? "true"
+                       : value == "off"         ? "false"
+                                                : "";
+            }
+            if (!f.set(config, text)) {
+                fatal("%s expects %s, got '%s'", flag.c_str(),
+                      f.type == ConfigField::Type::Bool
+                          ? "on or off"
+                          : expectedValue(f).c_str(),
+                      value.c_str());
+            }
+        });
+    }
 }
 
 void
@@ -501,20 +406,8 @@ JsonEnvelope::JsonEnvelope(
 {
     os << "{\"schemaVersion\": " << kJsonSchemaVersion
        << ", \"tool\": " << jsonQuote(app.toolName())
-       << ", \"config\": {\"banks\": " << config.geometry.banks()
-       << ", \"interleave\": " << config.geometry.interleave()
-       << ", \"lineWords\": " << config.bc.lineWords
-       << ", \"vectorContexts\": " << config.bc.vectorContexts
-       << ", \"rowPolicy\": "
-       << jsonQuote(rowPolicyName(config.bc.rowPolicy))
-       << ", \"refreshInterval\": " << config.timing.tREFI
-       << ", \"backend\": " << jsonQuote(backendName(config.backend))
-       << ", \"clocking\": "
-       << jsonQuote(clockingModeName(config.clocking))
-       << ", \"timingCheck\": "
-       << (config.timingCheck ? "true" : "false")
-       << ", \"faultsEnabled\": "
-       << (config.faults.enabled() ? "true" : "false");
+       << ", \"config\": {";
+    writeConfigJson(os, config, ", ");
     for (const auto &[key, raw] : config_extras)
         os << ", " << jsonQuote(key) << ": " << raw;
     os << "}";

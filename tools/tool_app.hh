@@ -18,8 +18,9 @@
  *
  * JsonEnvelope implements the versioned JSON output API of
  * docs/API.md: every tool's --json output is one object of the form
- *   {"schemaVersion": 1, "tool": "...", "config": {...}, <sections>}
- * so downstream scripts parse a single shape across tools.
+ *   {"schemaVersion": 2, "tool": "...", "config": {...}, <sections>}
+ * so downstream scripts parse a single shape across tools; "config"
+ * carries every SystemConfig field (configFields()).
  */
 
 #ifndef PVA_TOOLS_TOOL_APP_HH
@@ -40,7 +41,7 @@ namespace pva::tools
 {
 
 /** Version of the JSON output API every tool emits (docs/API.md). */
-constexpr int kJsonSchemaVersion = 1;
+constexpr int kJsonSchemaVersion = 2;
 
 /** The shared --trace-* flag values. */
 struct TraceOptions
@@ -84,8 +85,9 @@ class ToolApp
     /** @} */
 
     /** @name Common flag sets @{ */
-    /** --banks/--interleave/--vcs/--row-policy/--refresh/--clocking/
-     *  --check/--fault-*; config is validated after parsing. */
+    /** One flag per configFields() entry that has one (--banks,
+     *  --refresh, --check, --fault-*, ...); config is validated after
+     *  parsing. */
     void addSystemFlags(SystemConfig &config);
     /** --kernel/--stride/--alignment/--system/--elements. */
     void addWorkloadFlags(ToolOptions &opts);
@@ -128,15 +130,21 @@ class ToolApp
     std::uint64_t traceDropped() const;
 
   private:
+    using Apply = std::function<void(const std::string &flag,
+                                     const std::string &value)>;
+
     struct Spec
     {
         std::string name;    ///< Including leading dashes
         std::string metavar; ///< Empty for value-less switches
         std::string help;
-        std::function<void(const std::string &flag,
-                           const std::string &value)> apply;
+        Apply apply;
         bool takesValue = false;
     };
+
+    /** Register a flag; a null @p metavar makes it a switch. */
+    void add(const char *flag_name, const char *metavar, const char *help,
+             Apply apply);
 
     const Spec *find(const std::string &flag) const;
 
