@@ -31,7 +31,8 @@ latencyFor(std::uint32_t stride, bool bypass)
     SdramDevice dev("dev", 0, geo, timing, mem);
     BcConfig cfg;
     cfg.bypassEnabled = bypass;
-    BankController bc("bc", 0, geo, cfg, dev);
+    FirstHitPla pla(geo.bankBits(), cfg.plaVariant);
+    BankController bc("bc", 0, geo, cfg, dev, pla);
 
     VectorCommand cmd;
     cmd.base = 0; // bank 0 holds element 0: always a hit

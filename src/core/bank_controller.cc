@@ -9,11 +9,11 @@ namespace pva
 
 BankController::BankController(std::string name, unsigned bank,
                                const Geometry &geo_, const BcConfig &config,
-                               BankDevice &dev_)
+                               BankDevice &dev_, const FirstHitPla &pla_)
     : Component(std::move(name)), geo(geo_), cfg(config), dev(dev_),
       sdram(dynamic_cast<SdramDevice *>(&dev_)),
       bpol(dev_.backendPolicy()),
-      pla(geo_.bankBits(), config.plaVariant),
+      pla(pla_),
       staging(config.transactions),
       autoPrePredict(bpol.slotCount(geo_.internalBanks()), false)
 {
@@ -21,6 +21,12 @@ BankController::BankController(std::string name, unsigned bank,
         throw SimError(SimErrorKind::Config, this->name(), kNeverCycle,
                        csprintf("bank index %u out of range (%u banks)",
                                 bank, geo.banks()));
+    }
+    if (pla.bankBits() != geo.bankBits()) {
+        throw SimError(SimErrorKind::Config, this->name(), kNeverCycle,
+                       csprintf("FirstHit PLA built for %u bank bits, "
+                                "geometry has %u", pla.bankBits(),
+                                geo.bankBits()));
     }
     bankIndex = bank;
     fifo.reserve(cfg.fifoEntries);
@@ -312,6 +318,7 @@ BankController::maybeRecover(Cycle now)
             vcs.popBack();
             continue;
         }
+        cacheNext(vc);
         ++statRecoveries;
         tickActivity = true;
         PVA_TRACE_INSTANT(traceTrack(), now, "recover", "txn",
@@ -356,6 +363,7 @@ BankController::dequeueIntoVc(Cycle now)
         vc.firstAddr = 0;
         vc.stepWords = 0;
     }
+    cacheNext(vc);
     fifo.popFront();
 }
 
@@ -371,8 +379,7 @@ BankController::otherVcHitsOpenRow(const DeviceCoords &target,
         const VectorContext &vc = vcs[i];
         if (&vc == except || vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
-        if (slotOf(c) == tslot && c.row == open)
+        if (slotOf(vc.next) == tslot && vc.next.row == open)
             return true;
     }
     return false;
@@ -390,8 +397,7 @@ BankController::olderVcHitsOpenRow(const DeviceCoords &target,
         const VectorContext &vc = vcs[i];
         if (vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
-        if (slotOf(c) == tslot && c.row == open)
+        if (slotOf(vc.next) == tslot && vc.next.row == open)
             return true;
     }
     return false;
@@ -408,8 +414,7 @@ BankController::anyVcMissesOpenRow(const DeviceCoords &target) const
         const VectorContext &vc = vcs[i];
         if (vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
-        if (slotOf(c) == tslot && c.row != open)
+        if (slotOf(vc.next) == tslot && vc.next.row != open)
             return true;
     }
     return false;
@@ -428,14 +433,14 @@ BankController::tryActivatePrecharge(Cycle now)
         VectorContext &vc = vcs[vi];
         if (vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
+        const DeviceCoords &c = vc.next;
         if (devIsRowOpen(c.internalBank, c.row))
             continue; // ready, nothing to open
 
         if (!devSlotRowOpen(c)) {
             DeviceOp op;
             op.kind = DeviceOp::Kind::Activate;
-            op.addr = vc.addrAt(vc.issued);
+            op.addr = vc.nextAddr;
             if (devCanIssue(op, now)) {
                 if (!vc.firstOpDone) {
                     // Autoprecharge predictor: a new request whose first
@@ -503,7 +508,7 @@ BankController::tryReadWrite(Cycle now)
         bool polarity_ok =
             first_pending || (!reversal_blocked && !wants_reversal);
 
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
+        const DeviceCoords &c = vc.next;
         bool row_ready = devIsRowOpen(c.internalBank, c.row);
         bool data_ready =
             vc.cmd.isRead || staging[vc.cmd.txn].haveWriteData;
@@ -513,7 +518,7 @@ BankController::tryReadWrite(Cycle now)
             DeviceOp op;
             op.kind = vc.cmd.isRead ? DeviceOp::Kind::Read
                                     : DeviceOp::Kind::Write;
-            op.addr = vc.addrAt(vc.issued);
+            op.addr = vc.nextAddr;
             op.txn = vc.cmd.txn;
             op.slot = static_cast<std::uint8_t>(slot);
             op.autoPrecharge = decideAutoPrecharge(vc, c);
@@ -541,6 +546,8 @@ BankController::tryReadWrite(Cycle now)
                 ++vc.issued;
                 if (vc.done())
                     vcs.eraseAt(vi);
+                else
+                    cacheNext(vc);
                 return true;
             }
         }

@@ -36,7 +36,10 @@
  * capacity across transactions; and the BC caches a concrete
  * SdramDevice pointer so every per-cycle device query (row predicates,
  * refresh tick, restimer probes) devirtualizes — the virtual BankDevice
- * interface is only exercised for the SRAM comparison system.
+ * interface is only exercised for the SRAM comparison system. Each
+ * vector context caches the address and device coordinates of its
+ * next element, so the per-tick row predicates never re-decode it.
+ * The FirstHit PLA is read-only and shared by every BC of a unit.
  */
 
 #ifndef PVA_CORE_BANK_CONTROLLER_HH
@@ -87,12 +90,17 @@ struct BcConfig
 class BankController final : public Component
 {
   public:
+    /** @p pla is the unit's shared FirstHit table; it must be built for
+     *  @p geo's bank count and outlive the controller. */
     BankController(std::string name, unsigned bank, const Geometry &geo,
-                   const BcConfig &config, BankDevice &dev);
+                   const BcConfig &config, BankDevice &dev,
+                   const FirstHitPla &pla);
 
     /**
      * FHP snoop: called in the cycle a VEC_READ/VEC_WRITE broadcast
      * appears on the bus. Decides participation and queues the request.
+     * The PVA front end calls it only on the command's hit banks
+     * (hitBanks()) and credits the others' statCommandsSeen itself.
      */
     void observeVecCommand(Cycle now, const VectorCommand &cmd);
 
@@ -221,6 +229,9 @@ class BankController final : public Component
         WordAddr firstAddr = 0;   ///< Address of the firsthit element
         WordAddr stepWords = 0;   ///< stride << (m - s), the VC increment
         bool firstOpDone = false; ///< Autoprecharge predictor captured
+        /** Element `issued`, decoded once (valid while !done()). */
+        WordAddr nextAddr = 0;
+        DeviceCoords next{};
         std::vector<WordAddr> explicitAddrs;
         std::vector<std::uint8_t> explicitSlots;
 
@@ -286,6 +297,18 @@ class BankController final : public Component
 
     void drainDeviceReturns(Cycle now);
     void dequeueIntoVc(Cycle now);
+
+    /** Decode @p vc's next element into its cache (after the context
+     *  is filled and after each issue). */
+    void
+    cacheNext(VectorContext &vc) const
+    {
+        if (vc.done())
+            return;
+        vc.nextAddr = vc.addrAt(vc.issued);
+        vc.next = geo.decompose(vc.nextAddr);
+    }
+
     bool tryActivatePrecharge(Cycle now);
     bool tryReadWrite(Cycle now);
 
@@ -415,7 +438,7 @@ class BankController final : public Component
     BankDevice &dev;
     SdramDevice *sdram = nullptr; ///< Concrete downcast of dev (or null)
     BackendPolicy bpol;           ///< Copy of dev's resolved policy
-    FirstHitPla pla;
+    const FirstHitPla &pla;       ///< Shared by every BC of the unit
     unsigned bankIndex = 0;
 
     RingDeque<Request> fifo;      ///< RQF (oldest at front)

@@ -210,4 +210,26 @@ expandBankIndices(const VectorCommand &v, unsigned bank, const Geometry &geo)
     return indices;
 }
 
+void
+hitBanks(const VectorCommand &v, const Geometry &geo,
+         std::vector<std::uint8_t> &mark, std::vector<unsigned> &out)
+{
+    const unsigned banks = geo.banks();
+    if (mark.size() < banks)
+        mark.assign(banks, 0);
+    out.clear();
+    unsigned found = 0;
+    for (std::uint32_t i = 0; i < v.length && found < banks; ++i) {
+        std::uint8_t &m = mark[geo.bankOf(v.element(i))];
+        found += m == 0;
+        m = 1;
+    }
+    for (unsigned b = 0; out.size() < found; ++b) {
+        if (mark[b]) {
+            mark[b] = 0;
+            out.push_back(b);
+        }
+    }
+}
+
 } // namespace pva

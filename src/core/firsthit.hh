@@ -118,6 +118,16 @@ std::vector<std::uint32_t> expandBankIndices(const VectorCommand &v,
                                              const Geometry &geo);
 
 /**
+ * The banks holding at least one element of @p v, in ascending order,
+ * into @p out: exactly the bank controllers whose FirstHit predictors
+ * assert hit for the broadcast (the others' shares are empty). @p mark
+ * is per-bank scratch, grown to geo.banks() entries on first use and
+ * all zero between calls, so steady-state calls do not allocate.
+ */
+void hitBanks(const VectorCommand &v, const Geometry &geo,
+              std::vector<std::uint8_t> &mark, std::vector<unsigned> &out);
+
+/**
  * The sub-vector of @p bank expressed as the hardware sees it for word
  * interleave: first index and constant increment (count derived from L).
  * Only valid for N == 1 geometries.

@@ -1,5 +1,6 @@
 #include "core/pva_unit.hh"
 
+#include "core/firsthit.hh"
 #include "sdram/sram_device.hh"
 #include "sdram/timing_checker.hh"
 #include "sim/logging.hh"
@@ -11,8 +12,9 @@ namespace pva
 
 PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
     : MemorySystem(std::move(name)), cfg(config),
-      vectorBus(config.bc.lineWords), txns(config.bc.transactions),
-      bcScanFrom(config.bc.transactions, 0)
+      vectorBus(config.bc.lineWords),
+      pla(config.geometry.bankBits(), config.bc.plaVariant),
+      txns(config.bc.transactions), bcScanFrom(config.bc.transactions, 0)
 {
     const unsigned banks = cfg.geometry.banks();
     const BackendPolicy pol = cfg.backendPolicy();
@@ -38,11 +40,14 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
         devices.back()->setChecker(checker.get());
         bcs.push_back(std::make_unique<BankController>(
             csprintf("%s.bc%u", this->name().c_str(), b), b, cfg.geometry,
-            cfg.bc, *devices.back()));
+            cfg.bc, *devices.back(), pla));
         if (cfg.faults.enabled())
             bcs.back()->enableFaults(cfg.faults, b * 2 + 1);
     }
     bcWake.assign(banks, 0);
+    hitMark.assign(banks, 0);
+    for (Txn &t : txns)
+        t.hitBanks.reserve(banks);
     submitOrder.reserve(cfg.bc.transactions);
     linePool.reserve(cfg.bc.transactions);
 
@@ -112,6 +117,7 @@ PvaUnit::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
         t.tag = tag;
         t.state = cmd.isRead ? TxnState::QueuedRead : TxnState::QueuedWrite;
         t.acceptedAt = lastTickCycle;
+        hitBanks(t.cmd, cfg.geometry, hitMark, t.hitBanks);
         if (!cmd.isRead)
             t.writeData = *write_data;
         else
@@ -133,12 +139,35 @@ PvaUnit::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
 bool
 PvaUnit::allBcsComplete(std::uint8_t id)
 {
+    const std::vector<unsigned> &hits = txns[id].hitBanks;
     unsigned &from = bcScanFrom[id];
-    for (; from < bcs.size(); ++from) {
-        if (!bcs[from]->txnComplete(id))
+    for (; from < hits.size(); ++from) {
+        if (!bcs[hits[from]]->txnComplete(id))
             return false;
     }
     return true;
+}
+
+void
+PvaUnit::broadcast(std::uint8_t id, Cycle now)
+{
+    const Txn &t = txns[id];
+    if (checker)
+        checker->beginTxn(t.cmd);
+    bcScanFrom[id] = 0;
+    // Every BC snoops the bus; one outside the hit set would only
+    // count the command and decide "no hit", so that is all it gets.
+    // A hit BC must tick this cycle to take the command.
+    auto hit = t.hitBanks.begin();
+    for (unsigned b = 0; b < bcs.size(); ++b) {
+        if (hit != t.hitBanks.end() && *hit == b) {
+            ++hit;
+            bcWake[b] = now;
+            bcs[b]->observeVecCommand(now, t.cmd);
+        } else {
+            ++bcs[b]->statCommandsSeen;
+        }
+    }
 }
 
 void
@@ -150,14 +179,14 @@ PvaUnit::finishRead(std::uint8_t id, Cycle now)
     c.tag = t.tag;
     c.data = takeLine();
     c.data.assign(t.cmd.length, 0);
-    for (const auto &bc : bcs)
-        bc->collectInto(id, c.data);
+    for (unsigned b : t.hitBanks)
+        bcs[b]->collectInto(id, c.data);
     if (checker) {
         checker->verifyGather(t.cmd, c.data, now);
         checker->releaseTxn(id);
     }
-    for (const auto &bc : bcs)
-        bc->releaseTxn(id);
+    for (unsigned b : t.hitBanks)
+        bcs[b]->releaseTxn(id);
     t.state = TxnState::Free;
     --activeTxns;
     PVA_TRACE_END(txnTrack(id), now, "read", "latency",
@@ -176,8 +205,8 @@ PvaUnit::finishWrite(std::uint8_t id, Cycle now)
     Completion &c = completions.emplace_back();
     c.tag = t.tag;
     c.data.clear();
-    for (const auto &bc : bcs)
-        bc->releaseTxn(id);
+    for (unsigned b : t.hitBanks)
+        bcs[b]->releaseTxn(id);
     t.state = TxnState::Free;
     --activeTxns;
     PVA_TRACE_END(txnTrack(id), now, "write", "latency",
@@ -264,12 +293,7 @@ PvaUnit::tick(Cycle now)
             if (found) {
                 Txn &t = txns[chosen];
                 vectorBus.drive(now, {BusOpcode::VecWrite, t.cmd, chosen});
-                if (checker)
-                    checker->beginTxn(t.cmd);
-                bcScanFrom[chosen] = 0;
-                wakeAllBcs(now);
-                for (const auto &bc : bcs)
-                    bc->observeVecCommand(now, t.cmd);
+                broadcast(chosen, now);
                 t.state = TxnState::Scattering;
                 tickActivity = true;
                 PVA_TRACE_INSTANT(txnTrack(chosen), now, "scatter");
@@ -280,12 +304,7 @@ PvaUnit::tick(Cycle now)
                 if (t.state == TxnState::QueuedRead) {
                     submitOrder.popFront();
                     vectorBus.drive(now, {BusOpcode::VecRead, t.cmd, id});
-                    if (checker)
-                        checker->beginTxn(t.cmd);
-                    bcScanFrom[id] = 0;
-                    wakeAllBcs(now);
-                    for (const auto &bc : bcs)
-                        bc->observeVecCommand(now, t.cmd);
+                    broadcast(id, now);
                     t.state = TxnState::Gathering;
                     tickActivity = true;
                     PVA_TRACE_INSTANT(txnTrack(id), now, "broadcast");
@@ -293,9 +312,10 @@ PvaUnit::tick(Cycle now)
                     submitOrder.popFront();
                     vectorBus.drive(now,
                                     {BusOpcode::StageWrite, t.cmd, id});
-                    wakeAllBcs(now);
-                    for (const auto &bc : bcs)
-                        bc->loadWriteLine(id, t.writeData);
+                    for (unsigned b : t.hitBanks) {
+                        bcWake[b] = now;
+                        bcs[b]->loadWriteLine(id, t.writeData);
+                    }
                     t.state = TxnState::WriteData;
                     t.readyAt = now + vectorBus.dataCycles();
                     tickActivity = true;
@@ -310,13 +330,17 @@ PvaUnit::tick(Cycle now)
     // nextWakeAfter answer, reset to `now` by any broadcast above) is
     // still in the future — their state provably cannot change.
     const bool batching = cfg.batchTicking;
+    Cycle wake_min = kNeverCycle;
     for (std::size_t b = 0; b < bcs.size(); ++b) {
-        if (batching && bcWake[b] > now)
-            continue;
-        BankController &bc = *bcs[b];
-        bc.tick(now);
-        bcWake[b] = bc.nextWakeAfter(now);
+        if (!batching || bcWake[b] <= now) {
+            BankController &bc = *bcs[b];
+            bc.tick(now);
+            bcWake[b] = bc.nextWakeAfter(now);
+        }
+        if (bcWake[b] < wake_min)
+            wake_min = bcWake[b];
     }
+    bcWakeMin = wake_min;
 
     // Context-occupancy accounting (end-of-tick in-flight count).
     std::size_t active = activeTxns;
@@ -385,10 +409,9 @@ PvaUnit::nextWakeAfter(Cycle now) const
         }
     }
     // The cached per-BC wakes are exactly the answers the controllers
-    // gave at their last tick, so folding the cache is equivalent to
-    // re-polling them — without M virtual calls per processed cycle.
-    for (Cycle w : bcWake)
-        consider(w);
+    // gave at their last tick, so folding their minimum is equivalent
+    // to re-polling them — without M calls per processed cycle.
+    consider(bcWakeMin);
     return wake;
 }
 

@@ -18,15 +18,22 @@
  * The same unit instantiated over SramDevice banks is the paper's
  * "parallel vector access SRAM" comparison system.
  *
- * Batched bank-controller ticking (docs/PERFORMANCE.md): the front end
- * caches each BC's wake cycle (the Component::nextWakeAfter contract)
- * and skips ticking controllers that are provably quiescent until
- * then. Saturated vector workloads concentrate on few banks at a time,
- * so most of the M controllers are skippable on most cycles. Every
- * external input to a BC — a VEC_READ/VEC_WRITE broadcast or a
- * STAGE_WRITE line delivery — resets that BC's cached wake to the
- * current cycle, preserving cycle-exactness by the same argument as
- * the event clocking core. cfg.batchTicking = false restores the
+ * Hit-set dispatch (docs/PERFORMANCE.md): each transaction's hit banks
+ * — the controllers holding at least one of its elements — are computed
+ * once at trySubmit. Only those controllers take the write line, the
+ * broadcast, the completion poll, the collect and the release; the
+ * others' FirstHit predictors would decide "no hit" and do nothing, so
+ * the front end only credits their commandsSeen snoop count.
+ *
+ * Batched bank-controller ticking: the front end caches each BC's wake
+ * cycle (the Component::nextWakeAfter contract) and skips ticking
+ * controllers that are provably quiescent until then. Saturated vector
+ * workloads concentrate on few banks at a time, so most of the M
+ * controllers are skippable on most cycles. Every external input to a
+ * BC — a VEC_READ/VEC_WRITE broadcast or a STAGE_WRITE line delivery to
+ * a hit bank — resets that BC's cached wake to the current cycle,
+ * preserving cycle-exactness by the same argument as the event
+ * clocking core. cfg.batchTicking = false restores the
  * tick-every-BC-every-cycle reference behaviour.
  */
 
@@ -39,6 +46,7 @@
 #include "bus/vector_bus.hh"
 #include "core/bank_controller.hh"
 #include "core/memory_system.hh"
+#include "core/pla.hh"
 #include "core/system_config.hh"
 #include "sdram/device.hh"
 #include "sdram/geometry.hh"
@@ -89,6 +97,13 @@ class PvaUnit : public MemorySystem
 
     /** Direct access for white-box tests. */
     BankController &bankController(unsigned i) { return *bcs[i]; }
+    /** Hit banks of the command in transaction slot @p id (ascending;
+     *  meaningful while the slot is not Free). */
+    const std::vector<unsigned> &
+    txnHitBanks(std::uint8_t id) const
+    {
+        return txns[id].hitBanks;
+    }
     const PvaConfig &config() const { return cfg; }
     VectorBus &bus() { return vectorBus; }
 
@@ -114,24 +129,23 @@ class PvaUnit : public MemorySystem
         std::vector<Word> writeData;
         Cycle readyAt = 0;   ///< Next state-transition time where timed
         Cycle acceptedAt = 0; ///< For the latency distributions
+        /** Banks holding an element of cmd, ascending (hitBanks()):
+         *  the only BCs the front end drives for this transaction. */
+        std::vector<unsigned> hitBanks;
     };
 
     /**
-     * All BCs finished transaction @p id (the wired-OR line)? Scans
-     * from the per-txn resume index: a BC's completion is monotone
+     * All BCs finished transaction @p id (the wired-OR line)? Only the
+     * hit banks can hold the line asserted. Scans from the per-txn
+     * resume index into the hit list: a BC's completion is monotone
      * between broadcast and release, so controllers already seen
      * complete are never re-polled.
      */
     bool allBcsComplete(std::uint8_t id);
 
-    /** Broadcast an external input to every BC's cached wake (the BC
-     *  must tick this cycle to take it). */
-    void
-    wakeAllBcs(Cycle now)
-    {
-        for (Cycle &w : bcWake)
-            w = now;
-    }
+    /** Broadcast VEC_READ/VEC_WRITE of transaction @p id: credit every
+     *  BC's snoop, wake and drive the hit banks. */
+    void broadcast(std::uint8_t id, Cycle now);
 
     /** Trace track for transaction slot @p id (0 when untraced). */
     std::uint32_t
@@ -158,6 +172,7 @@ class PvaUnit : public MemorySystem
     SparseMemory backing;
     VectorBus vectorBus;
     std::vector<std::unique_ptr<BankDevice>> devices;
+    FirstHitPla pla; ///< One read-only table shared by every BC
     std::vector<std::unique_ptr<BankController>> bcs;
     /** Redundant protocol/data checker (present iff cfg.timingCheck). */
     std::unique_ptr<TimingChecker> checker;
@@ -171,8 +186,15 @@ class PvaUnit : public MemorySystem
     /** Cached per-BC wake cycle (see file comment); maintained in both
      *  batching modes, consulted by the tick loop only when batching. */
     std::vector<Cycle> bcWake;
-    /** Per-txn first bank controller not yet seen complete. */
+    /** min(bcWake) as of the end of the last tick, which leaves every
+     *  cached wake after that cycle; nextWakeAfter folds this instead
+     *  of rescanning. */
+    Cycle bcWakeMin = 0;
+    /** Per-txn position in hitBanks of the first BC not yet seen
+     *  complete. */
     std::vector<unsigned> bcScanFrom;
+    /** hitBanks() scratch, all zero between submissions. */
+    std::vector<std::uint8_t> hitMark;
     std::size_t activeTxns = 0; ///< Txn slots not Free
 
     StatSet statSet;

@@ -3,29 +3,43 @@
 namespace pva
 {
 
-Word
-SparseMemory::read(WordAddr addr) const
+SparseMemory::SparseMemory(SparseMemory &&other) noexcept
+    : pages(std::move(other.pages))
 {
-    WordAddr page_no = addr / kPageWords;
-    unsigned offset = static_cast<unsigned>(addr % kPageWords);
-    auto it = pages.find(page_no);
-    if (it == pages.end() || !it->second->written[offset])
-        return backgroundPattern(addr);
-    return it->second->data[offset];
+    other.pages.clear();
+    other.clearCache();
+}
+
+SparseMemory &
+SparseMemory::operator=(SparseMemory &&other) noexcept
+{
+    if (this != &other) {
+        pages = std::move(other.pages);
+        other.pages.clear();
+        clearCache();
+        other.clearCache();
+    }
+    return *this;
 }
 
 void
-SparseMemory::write(WordAddr addr, Word value)
+SparseMemory::fillSlot(Slot &slot, WordAddr page_no) const
 {
-    WordAddr page_no = addr / kPageWords;
-    unsigned offset = static_cast<unsigned>(addr % kPageWords);
+    auto it = pages.find(page_no);
+    slot.pageNo = page_no;
+    slot.page = it == pages.end() ? nullptr : it->second.get();
+}
+
+SparseMemory::Page *
+SparseMemory::residentPage(WordAddr page_no)
+{
     auto &page = pages[page_no];
     if (!page) {
         page = std::make_unique<Page>();
         page->written.fill(false);
     }
-    page->data[offset] = value;
-    page->written[offset] = true;
+    cache[page_no % kCacheSlots] = Slot{page_no, page.get()};
+    return page.get();
 }
 
 } // namespace pva

@@ -23,7 +23,7 @@ class BcTest : public ::testing::Test
   protected:
     BcTest()
         : dev("dev", kBank, geo, timing, mem),
-          bc("bc", kBank, geo, cfg, dev)
+          bc("bc", kBank, geo, cfg, dev, pla)
     {
     }
 
@@ -41,6 +41,7 @@ class BcTest : public ::testing::Test
     BcConfig cfg{};
     SparseMemory mem;
     SdramDevice dev;
+    FirstHitPla pla{geo.bankBits(), cfg.plaVariant};
     BankController bc;
 };
 
@@ -220,7 +221,8 @@ firstOpLatency(std::uint32_t stride, bool bypass)
     SdramDevice dev("dev", 0, geo, timing, mem);
     BcConfig cfg;
     cfg.bypassEnabled = bypass;
-    BankController bc("bc", 0, geo, cfg, dev);
+    FirstHitPla pla(geo.bankBits(), cfg.plaVariant);
+    BankController bc("bc", 0, geo, cfg, dev, pla);
 
     VectorCommand cmd;
     cmd.base = 0;

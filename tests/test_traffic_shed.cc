@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/clocking.hh"
+#include "sim/logging.hh"
 #include "traffic/traffic_runner.hh"
 
 namespace pva
@@ -31,7 +32,7 @@ saturatedConfig()
     tc.limits.maxCycles = 2000000;
     for (unsigned i = 0; i < 4; ++i) {
         StreamConfig s;
-        s.name = "s" + std::to_string(i);
+        s.name = csprintf("s%u", i);
         s.mode = ArrivalMode::OpenLoop;
         s.requestsPerKilocycle = 150.0;
         s.requests = 120;
@@ -111,7 +112,7 @@ TEST(TrafficShed, OverloadWatermarkKeepsClosedLoopDraining)
     tc.arbiter.shed.queueHighWatermark = 0.5;
     for (unsigned i = 0; i < 2; ++i) {
         StreamConfig s;
-        s.name = "c" + std::to_string(i);
+        s.name = csprintf("c%u", i);
         s.mode = ArrivalMode::ClosedLoop;
         s.window = 6;
         s.requests = 60;
