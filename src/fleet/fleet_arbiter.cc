@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/trace.hh"
+
 namespace pva::fleet
 {
 
@@ -18,10 +20,11 @@ constexpr std::uint32_t kNotDeferred = 0xffffffffu;
 TenantArbiter::TenantArbiter(unsigned index, unsigned global_base,
                              const ArbiterConfig &config,
                              std::vector<StreamSource> sources_,
-                             ServiceStats &stats_, MessageBus &bus_)
+                             ServiceStats &stats_, FleetArbiter &root_,
+                             MessageBus &bus)
     : tenantIndex(index), globalBase(global_base), cfg(config),
-      sources(std::move(sources_)), stats(stats_), bus(bus_),
-      shedChannel(&bus_.channel<ShedEvent>()), queues(sources.size()),
+      sources(std::move(sources_)), stats(stats_), root(root_),
+      shedChannel(&bus.channel<ShedEvent>()), queues(sources.size()),
       admitStamp(sources.size(), 0),
       deferredPos(sources.size(), kNotDeferred),
       hasArrivalEntry(sources.size(), 0), retired(sources.size(), 0)
@@ -103,7 +106,7 @@ TenantArbiter::checkRetired(unsigned local)
         return;
     }
     retired[local] = 1;
-    bus.publish(StreamRetired{tenantIndex});
+    root.onStreamRetired();
 }
 
 void
@@ -125,7 +128,7 @@ TenantArbiter::newHead(unsigned local)
     }
     if (cfg.shed.enabled && shedDeadline[local] > 0)
         expiryHeap.emplace(req.arrival + shedDeadline[local] + 1, local);
-    bus.publish(TenantDirty{tenantIndex});
+    root.markDirty(tenantIndex);
 }
 
 void
@@ -134,8 +137,8 @@ TenantArbiter::queueBecameEmpty(unsigned local)
     if (cfg.policy == ArbPolicy::RoundRobin)
         rrSet.erase(local);
     if (--nonEmptyCount == 0)
-        bus.publish(TenantActivation{tenantIndex, false});
-    bus.publish(TenantDirty{tenantIndex});
+        root.setTenantActive(tenantIndex, false);
+    root.markDirty(tenantIndex);
 }
 
 void
@@ -165,6 +168,8 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
             if (shedChannel->hasSubscribers())
                 shedChannel->publish(
                     ShedEvent{tenantIndex, local, false});
+            PVA_TRACE_INSTANT(root.traceTrack(), now, "shed-overload",
+                              "stream", globalBase + local);
             changed = true;
             nextStepWork.push_back(local);
             break;
@@ -173,10 +178,12 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
         q.push_back(src.emit(now));
         stats.onArrival(local);
         stats.onQueueDepth(local, q.size());
+        PVA_TRACE_INSTANT(root.traceTrack(), now, "enqueue", "stream",
+                          globalBase + local, "depth", q.size());
         changed = true;
         if (wasEmpty) {
             if (++nonEmptyCount == 1)
-                bus.publish(TenantActivation{tenantIndex, true});
+                root.setTenantActive(tenantIndex, true);
             if (cfg.policy == ArbPolicy::RoundRobin)
                 rrSet.insert(local);
             newHead(local);
@@ -184,6 +191,8 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
     }
     if (deferred) {
         stats.onDeferred(local);
+        PVA_TRACE_INSTANT(root.traceTrack(), now, "defer", "stream",
+                          globalBase + local);
         addDeferred(local);
     } else {
         removeDeferred(local);
@@ -245,6 +254,8 @@ TenantArbiter::shedExpired(Cycle now)
             sources[local].onComplete();
             if (shedChannel->hasSubscribers())
                 shedChannel->publish(ShedEvent{tenantIndex, local, true});
+            PVA_TRACE_INSTANT(root.traceTrack(), now, "shed-deadline",
+                              "stream", globalBase + local);
             changed = true;
         }
         // The released window slot can re-admit a closed-loop/trace
@@ -366,8 +377,8 @@ TenantArbiter::minExpiry()
 
 FleetArbiter::FleetArbiter(const ArbiterConfig &config,
                            std::vector<TenantSeat> seats,
-                           MessageBus &bus_)
-    : cfg(config), bus(bus_)
+                           MessageBus &bus)
+    : cfg(config), grantChannel(&bus.channel<GrantEvent>())
 {
     tenants.reserve(seats.size());
     bases.reserve(seats.size());
@@ -377,7 +388,8 @@ FleetArbiter::FleetArbiter(const ArbiterConfig &config,
         bases.push_back(base);
         const unsigned n = static_cast<unsigned>(seat.sources.size());
         tenants.push_back(std::make_unique<TenantArbiter>(
-            t, base, cfg, std::move(seat.sources), *seat.stats, bus));
+            t, base, cfg, std::move(seat.sources), *seat.stats, *this,
+            bus));
         base += n;
     }
     totalStreams = base;
@@ -392,25 +404,6 @@ FleetArbiter::FleetArbiter(const ArbiterConfig &config,
     arrivalCache.assign(tn, kNeverCycle);
     expiryCache.assign(tn, kNeverCycle);
     pendingTenants.reserve(tn);
-
-    // The root tier learns about tenant state changes the same way a
-    // telemetry sink would: by subscribing. (Handlers capture `this`;
-    // the bus must not outlive the arbiter's last use.)
-    bus.subscribe<TenantDirty>([this](const TenantDirty &m) {
-        if (!dirtyFlag[m.tenant]) {
-            dirtyFlag[m.tenant] = 1;
-            dirtyList.push_back(m.tenant);
-        }
-    });
-    bus.subscribe<TenantActivation>([this](const TenantActivation &m) {
-        if (m.nonEmpty)
-            nonEmptyTenants.insert(m.tenant);
-        else
-            nonEmptyTenants.erase(m.tenant);
-    });
-    bus.subscribe<StreamRetired>(
-        [this](const StreamRetired &) { --activeStreams; });
-
     for (unsigned t = 0; t < tn; ++t)
         markPending(t);
 }
@@ -484,7 +477,7 @@ FleetArbiter::refreshCandidate(unsigned t)
         break;
       }
       case ArbPolicy::RoundRobin:
-        // The nonEmptyTenants set (activation messages) is the only
+        // The nonEmptyTenants set (setTenantActive) is the only
         // root-side candidate state round-robin needs.
         break;
     }
@@ -616,6 +609,9 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
         tenants[f.tenant]->onComplete(f.local, now - f.submitted,
                                       now - f.arrival, f.words,
                                       f.isRead);
+        PVA_TRACE_INSTANT(traceTrackId, now, "complete", "stream",
+                          bases[f.tenant] + f.local, "latency",
+                          now - f.arrival);
         markPending(f.tenant);
         inFlight.erase(it);
         changed = true;
@@ -672,7 +668,6 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
     // --- 3. Grant: submit queue heads until the system refuses. ------
     drainDirty();
     if (totalStreams > 0) {
-        Channel<GrantEvent> &grantChan = bus.channel<GrantEvent>();
         while (true) {
             unsigned t = 0, local = 0;
             Cycle arrival = 0;
@@ -702,9 +697,12 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
                                            req.cmd.isRead});
             ++nextTag;
             ++grantCount;
-            if (grantChan.hasSubscribers())
-                grantChan.publish(
+            if (grantChannel->hasSubscribers())
+                grantChannel->publish(
                     GrantEvent{t, local, now - req.arrival});
+            PVA_TRACE_INSTANT(traceTrackId, now, "grant", "stream",
+                              bases[t] + local, "waited",
+                              now - req.arrival);
             ten.popGranted(local, now);
             reprimeExpiry(t);
             lastGrantedGid = bases[t] + local;

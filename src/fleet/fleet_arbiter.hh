@@ -1,11 +1,15 @@
 /**
  * @file
- * Hierarchical stream arbitration for fleet-scale traffic.
+ * Event-driven hierarchical stream arbitration: the arbiter behind
+ * every traffic run (runTraffic seats its streams as one tenant) and
+ * every fleet shard.
  *
- * The flat StreamArbiter (traffic/arbiter.hh) scans every stream every
- * service step, which is perfect at paper scale (a handful of streams)
- * and hopeless at fleet scale (10^4-10^6 modeled streams). This file
- * splits the same arbitration semantics into two tiers:
+ * The flat StreamArbiter (traffic/arbiter.hh) scans every stream
+ * several times per service step. It stays as the reference the tests
+ * hold this arbiter to; its cost is per stream per cycle, about a third
+ * of a traffic run's host time at 16 streams and hopeless at fleet
+ * scale (10^4-10^6 modeled streams). This file splits the same
+ * arbitration semantics into two tiers:
  *
  *  - TenantArbiter: owns one tenant's streams, bounded queues, and
  *    ServiceStats. All per-step work is event-driven worklists plus
@@ -18,18 +22,21 @@
  *    across tenants and picks grants globally through root-level
  *    lazy heaps over per-tenant candidates, O(log) per grant.
  *
- * The tiers never call each other directly for notifications: tenants
- * publish TenantDirty / TenantActivation / arrival and expiry
- * schedules on a MessageBus (fleet/message_bus.hh), and the root tier
- * (or any telemetry sink) subscribes. That keeps candidate caching,
- * round-robin occupancy sets, and stat sinks decoupled from the
- * tenant implementation.
+ * A tenant tells its root about state changes by direct calls: its
+ * grant candidate may have changed (markDirty), its queues crossed
+ * empty <-> non-empty (setTenantActive), a stream retired
+ * (onStreamRetired). The MessageBus (fleet/message_bus.hh) carries
+ * only telemetry — GrantEvent and ShedEvent — to whatever stat sinks
+ * subscribed. The lifecycle trace instants (enqueue, defer,
+ * shed-overload, shed-deadline, grant, complete) go to the track set
+ * with setTraceTrack, with global stream ids.
  *
  * Semantics contract: with one tenant, a FleetArbiter is cycle-exact
  * against the flat StreamArbiter — same grant order, same tags, same
- * per-stream statistics, same drain cycle — across all policies,
- * shedding configurations, and both clocking modes (the differential
- * test in tests/test_fleet.cc holds this). The phase order, policy
+ * per-stream statistics, same drain cycle, same processed and skipped
+ * cycles — across all policies, shedding configurations, arrival
+ * disciplines and both clocking modes (the differential tests in
+ * tests/test_fleet.cc hold this). The phase order, policy
  * tie-breaking, deferral accounting, and nextWake contract below are
  * therefore deliberate replicas of traffic/arbiter.cc; change them
  * together or not at all.
@@ -57,6 +64,8 @@
 namespace pva::fleet
 {
 
+class FleetArbiter;
+
 /** One tenant's streams and name, ready to seat in a FleetArbiter. */
 struct TenantSeat
 {
@@ -76,7 +85,8 @@ class TenantArbiter
     TenantArbiter(unsigned index, unsigned global_base,
                   const ArbiterConfig &config,
                   std::vector<StreamSource> sources_,
-                  ServiceStats &stats_, MessageBus &bus_);
+                  ServiceStats &stats_, FleetArbiter &root_,
+                  MessageBus &bus);
 
     unsigned index() const { return tenantIndex; }
     unsigned base() const { return globalBase; }
@@ -138,7 +148,7 @@ class TenantArbiter
   private:
     void processAdmission(unsigned local, Cycle now, bool &changed);
     /** The queue of @p local gained a (new) head: refresh candidate
-     *  structures and publish the change. */
+     *  structures and tell the root. */
     void newHead(unsigned local);
     void queueBecameEmpty(unsigned local);
     /** Retire @p local once it is exhausted with an empty queue. */
@@ -152,8 +162,8 @@ class TenantArbiter
     ArbiterConfig cfg;
     std::vector<StreamSource> sources;
     ServiceStats &stats;
-    MessageBus &bus;
-    Channel<ShedEvent> *shedChannel; ///< Cached for the subscriber check
+    FleetArbiter &root;
+    Channel<ShedEvent> *shedChannel; ///< Looked up once, at construction
 
     /** Precomputed per-stream shed thresholds (traffic/arbiter.cc). */
     std::vector<Cycle> shedDeadline;
@@ -234,12 +244,15 @@ class TenantArbiter
 class FleetArbiter
 {
   public:
-    /** Seats the tenants (taking ownership of their sources) and
-     *  subscribes the root tier on @p bus_. The seats' ServiceStats
-     *  must outlive the arbiter. */
+    /** Seats the tenants (taking ownership of their sources) and looks
+     *  up the telemetry channels on @p bus. The seats' ServiceStats
+     *  and the bus must outlive the arbiter. */
     FleetArbiter(const ArbiterConfig &config,
-                 std::vector<TenantSeat> seats, MessageBus &bus_);
+                 std::vector<TenantSeat> seats, MessageBus &bus);
     ~FleetArbiter();
+    /** Tenants hold a reference to their root. */
+    FleetArbiter(const FleetArbiter &) = delete;
+    FleetArbiter &operator=(const FleetArbiter &) = delete;
 
     /**
      * One service step at cycle @p now, same contract as
@@ -283,7 +296,40 @@ class FleetArbiter
 
     std::uint64_t grants() const { return grantCount; }
 
+    /** @name Trace track handle (see sim/trace.hh; 0 = untraced) @{ */
+    void setTraceTrack(std::uint32_t id) { traceTrackId = id; }
+    std::uint32_t traceTrack() const { return traceTrackId; }
+    /** @} */
+
   private:
+    friend class TenantArbiter;
+
+    /** @name Tenant -> root notifications @{ */
+    /** Tenant @p t's grant candidate may have changed (head enqueue,
+     *  grant or shed); refreshed before the next pick. */
+    void
+    markDirty(unsigned t)
+    {
+        if (!dirtyFlag[t]) {
+            dirtyFlag[t] = 1;
+            dirtyList.push_back(t);
+        }
+    }
+    /** Tenant @p t's queues crossed empty <-> non-empty (round-robin
+     *  occupancy set). */
+    void
+    setTenantActive(unsigned t, bool non_empty)
+    {
+        if (non_empty)
+            nonEmptyTenants.insert(t);
+        else
+            nonEmptyTenants.erase(t);
+    }
+    /** A stream retired (exhausted, queue empty): counts down to the
+     *  fleet's O(1) drain check. */
+    void onStreamRetired() { --activeStreams; }
+    /** @} */
+
     struct FleetInFlight
     {
         unsigned tenant = 0;
@@ -308,7 +354,7 @@ class FleetArbiter
     bool pickRoundRobin(unsigned &t, unsigned &local);
 
     ArbiterConfig cfg;
-    MessageBus &bus;
+    Channel<GrantEvent> *grantChannel; ///< Looked up once, at construction
     std::vector<std::unique_ptr<TenantArbiter>> tenants;
     std::vector<unsigned> bases; ///< bases[t] = first global id of t
     std::size_t totalStreams = 0;
@@ -383,6 +429,7 @@ class FleetArbiter
     Cycle lastServiceAt = 0;
     std::size_t lastInFlightSample = 0;
     /** @} */
+    std::uint32_t traceTrackId = 0;
 };
 
 } // namespace pva::fleet

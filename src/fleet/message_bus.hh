@@ -1,15 +1,16 @@
 /**
  * @file
- * A minimal typed publish/subscribe bus for the fleet layer.
+ * A minimal typed publish/subscribe bus: the fleet arbiter's telemetry
+ * seam.
  *
- * The hierarchical arbiter (fleet/fleet_arbiter.hh) has two tiers —
- * per-tenant arbiters and a root arbiter — plus optional statistics
- * sinks, and none of them should hard-couple: a tenant announcing
- * "my best candidate changed" must not know whether a root heap, a
- * telemetry counter, or nothing at all is listening. The MessageBus
- * gives each message type its own Channel of subscribers; publishing
- * to a channel nobody subscribed to is one branch, so hot-path
- * notifications (per-grant, per-head-change) stay cheap.
+ * The arbiter (fleet/fleet_arbiter.hh) publishes one GrantEvent per
+ * request granted to the memory system and one ShedEvent per request
+ * dropped; stat sinks subscribe without the arbiter knowing who, if
+ * anyone, listens. The arbiter's own tiers do not use the bus: tenants
+ * call their root directly. Each message type has its own Channel of
+ * subscribers, a plain member of the bus; the arbiter takes pointers
+ * to both at construction, so publishing to a channel nobody
+ * subscribed to is one branch on the grant path.
  *
  * Everything is single-threaded by design: one FleetArbiter and its
  * tenants live on one simulation thread (shard parallelism happens at
@@ -21,14 +22,32 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <typeindex>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace pva::fleet
 {
+
+/** @name Fleet telemetry messages (fleet/fleet_arbiter.hh) @{ */
+
+/** One request granted to the memory system. */
+struct GrantEvent
+{
+    unsigned tenant;
+    unsigned stream; ///< Tenant-local stream index
+    std::uint64_t waited; ///< Queueing delay at grant (cycles)
+};
+
+/** One request shed. */
+struct ShedEvent
+{
+    unsigned tenant;
+    unsigned stream;  ///< Tenant-local stream index
+    bool deadline;    ///< true = deadline shed, false = overload shed
+};
+
+/** @} */
 
 /** Subscribers of one message type, invoked in subscription order. */
 template <typename Message>
@@ -54,25 +73,20 @@ class Channel
     std::vector<Handler> handlers;
 };
 
-/** Type-indexed registry of channels; one per message type. */
+/** One channel per telemetry message type. */
 class MessageBus
 {
   public:
     template <typename Message>
     Channel<Message> &channel()
     {
-        auto it = channels.find(std::type_index(typeid(Message)));
-        if (it == channels.end()) {
-            it = channels
-                     .emplace(std::type_index(typeid(Message)),
-                              Entry{new Channel<Message>(),
-                                    [](void *p) {
-                                        delete static_cast<
-                                            Channel<Message> *>(p);
-                                    }})
-                     .first;
+        if constexpr (std::is_same_v<Message, GrantEvent>) {
+            return grants;
+        } else {
+            static_assert(std::is_same_v<Message, ShedEvent>,
+                          "not a fleet telemetry message");
+            return sheds;
         }
-        return *static_cast<Channel<Message> *>(it->second.ptr);
     }
 
     template <typename Message>
@@ -81,71 +95,14 @@ class MessageBus
         channel<Message>().subscribe(std::move(handler));
     }
 
-    template <typename Message>
-    void publish(const Message &msg)
-    {
-        channel<Message>().publish(msg);
-    }
-
     MessageBus() = default;
     MessageBus(const MessageBus &) = delete;
     MessageBus &operator=(const MessageBus &) = delete;
-    ~MessageBus()
-    {
-        for (auto &[type, entry] : channels)
-            entry.deleter(entry.ptr);
-    }
 
   private:
-    struct Entry
-    {
-        void *ptr;
-        void (*deleter)(void *);
-    };
-    std::unordered_map<std::type_index, Entry> channels;
+    Channel<GrantEvent> grants;
+    Channel<ShedEvent> sheds;
 };
-
-/** @name Fleet arbitration messages (fleet/fleet_arbiter.hh) @{ */
-
-/** A tenant's grant candidate may have changed (head enqueue, grant,
- *  or shed); the root tier refreshes its cached entry. */
-struct TenantDirty
-{
-    unsigned tenant;
-};
-
-/** A tenant crossed the empty <-> non-empty boundary (any queued
- *  request at all); drives the root round-robin occupancy set. */
-struct TenantActivation
-{
-    unsigned tenant;
-    bool nonEmpty;
-};
-
-/** One request granted to the memory system (telemetry sinks). */
-struct GrantEvent
-{
-    unsigned tenant;
-    unsigned stream; ///< Tenant-local stream index
-    std::uint64_t waited; ///< Queueing delay at grant (cycles)
-};
-
-/** One request shed (telemetry sinks). */
-struct ShedEvent
-{
-    unsigned tenant;
-    unsigned stream;  ///< Tenant-local stream index
-    bool deadline;    ///< true = deadline shed, false = overload shed
-};
-
-/** A stream retired: exhausted with an empty queue. The root tier
- *  counts these down to detect fleet drain in O(1). */
-struct StreamRetired
-{
-    unsigned tenant;
-};
-
-/** @} */
 
 } // namespace pva::fleet
 

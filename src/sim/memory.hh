@@ -4,26 +4,29 @@
  *
  * The Micron-class devices we model hold 2^28+ words per bank; tests and
  * kernels touch only a sliver of that, so the store is a page-granular
- * hash map. Unwritten words read as a deterministic address-derived
- * pattern, which lets functional tests detect gather/scatter errors
- * without initialising whole arrays.
+ * hash table: open addressing over a power-of-two array of (page
+ * number, page) entries, probed linearly from a multiplicative hash
+ * and kept at most half full. Unwritten words read as a deterministic
+ * address-derived pattern, which lets functional tests detect
+ * gather/scatter errors without initialising whole arrays.
  *
  * Every simulated CAS reads or writes one word, so a small
  * direct-mapped cache of page pointers (including "no such page"
- * answers) sits in front of the map. Pages are individually allocated
- * and never freed, so a cached pointer stays valid as the map grows;
- * a write that creates a page overwrites the slot its number maps to,
- * which is the only slot that can hold a stale "absent" for it. Reads
- * update the cache, so one store is used by one thread at a time (each
- * memory system owns its store).
+ * answers) sits in front of the table. Pages are individually
+ * allocated and never freed or moved, so a cached pointer stays valid
+ * as the table grows; a write that creates a page overwrites the slot
+ * its number maps to, which is the only slot that can hold a stale
+ * "absent" for it. Reads update the cache, so one store is used by one
+ * thread at a time (each memory system owns its store).
  */
 
 #ifndef PVA_SIM_MEMORY_HH
 #define PVA_SIM_MEMORY_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -50,7 +53,7 @@ class SparseMemory
     {
         const Page *page = findPage(addr / kPageWords);
         unsigned offset = static_cast<unsigned>(addr % kPageWords);
-        if (page == nullptr || !page->written[offset])
+        if (page == nullptr || !page->isWritten(offset))
             return backgroundPattern(addr);
         return page->data[offset];
     }
@@ -66,7 +69,7 @@ class SparseMemory
                          : residentPage(page_no);
         unsigned offset = static_cast<unsigned>(addr % kPageWords);
         page->data[offset] = value;
-        page->written[offset] = true;
+        page->written[offset / 64] |= std::uint64_t{1} << (offset % 64);
     }
 
     /** The background pattern an unwritten word reads as. */
@@ -80,16 +83,25 @@ class SparseMemory
     }
 
     /** Number of resident backing pages (for tests). */
-    std::size_t residentPages() const { return pages.size(); }
+    std::size_t residentPages() const { return resident; }
 
   private:
     /** Never a page number (page numbers are below 2^54). */
     static constexpr WordAddr kNoPage = ~WordAddr{0};
 
+    /** One page. Allocated without zeroing: a data word is read only
+     *  once its written bit is set, and only the bitset starts
+     *  cleared. */
     struct Page
     {
         std::array<Word, kPageWords> data;
-        std::array<bool, kPageWords> written;
+        std::array<std::uint64_t, kPageWords / 64> written;
+
+        bool
+        isWritten(unsigned offset) const
+        {
+            return (written[offset / 64] >> (offset % 64)) & 1;
+        }
     };
 
     /** A cached lookup: page @p pageNo lives at @p page (nullptr:
@@ -98,6 +110,13 @@ class SparseMemory
     {
         WordAddr pageNo = kNoPage;
         Page *page = nullptr;
+    };
+
+    /** A page-table entry; pageNo == kNoPage marks it empty. */
+    struct Entry
+    {
+        WordAddr pageNo = kNoPage;
+        std::unique_ptr<Page> page;
     };
 
     /** Page @p page_no, or nullptr if never written (cached). */
@@ -115,9 +134,19 @@ class SparseMemory
     /** Page @p page_no, created on first use; caches it. */
     Page *residentPage(WordAddr page_no);
 
+    /** Table index of @p page_no, or of the empty entry that ends its
+     *  probe sequence. The table must not be empty. */
+    std::size_t probe(WordAddr page_no) const;
+
+    /** Double the table (first use: kInitialEntries). */
+    void grow();
+
     void clearCache() { cache.fill(Slot{}); }
 
-    std::unordered_map<WordAddr, std::unique_ptr<Page>> pages;
+    static constexpr std::size_t kInitialEntries = 64;
+
+    std::vector<Entry> table;   ///< Power-of-two size, or empty
+    std::size_t resident = 0;   ///< Occupied entries
     mutable std::array<Slot, kCacheSlots> cache{};
 };
 

@@ -3,6 +3,13 @@
  * The StreamArbiter: admission control and multiplexing of N traffic
  * streams onto one memory system's limited transaction resources.
  *
+ * This is the flat reference arbiter: it scans every stream on every
+ * service step, which makes its decisions easy to read off the code.
+ * Traffic runs use the event-driven fleet::FleetArbiter
+ * (fleet/fleet_arbiter.hh), which reproduces these decisions cycle for
+ * cycle; tests/test_fleet.cc holds the two equal. The ArbiterConfig
+ * and policy definitions below are shared by both.
+ *
  * Each stream owns a bounded queue. Every service cycle the arbiter
  *
  *  1. drains completions, crediting service/total latency to the

@@ -181,6 +181,14 @@ ServiceStats::onCycleGap(Cycle cycles, std::size_t in_flight)
 }
 
 void
+ServiceStats::onOccupancy(std::uint64_t cycles,
+                          std::uint64_t occupancy_sum)
+{
+    statCycles += cycles;
+    statOccupancySum += occupancy_sum;
+}
+
+void
 ServiceStats::onDeferredGap(unsigned stream, Cycle cycles)
 {
     if (!perStream.empty())

@@ -75,7 +75,7 @@ class ServiceStats
                           Detail detail = Detail::PerStream,
                           const std::string &prefix = "traffic");
 
-    /** @name Event hooks (called by the StreamArbiter) @{ */
+    /** @name Event hooks (called by the arbiters) @{ */
     void onArrival(unsigned stream);
     void onDeferred(unsigned stream);       ///< Backpressure: queue full
     void onShedDeadline(unsigned stream);   ///< Dropped: deadline missed
@@ -95,6 +95,10 @@ class ServiceStats
     void onCycleGap(Cycle cycles, std::size_t in_flight);
     void onDeferredGap(unsigned stream, Cycle cycles);
     /** @} */
+
+    /** Credit @p cycles occupancy samples summing to @p occupancy_sum
+     *  at once: a one-tenant traffic run's root-tier counters. */
+    void onOccupancy(std::uint64_t cycles, std::uint64_t occupancy_sum);
 
     std::size_t streams() const { return streamCount; }
 

@@ -2,11 +2,15 @@
  * @file
  * Orchestration of traffic runs and offered-load sweeps.
  *
- * runTraffic() wires one TrafficConfig — N stream sources, a
- * StreamArbiter policy, one memory system — into a Simulation, runs it
+ * runTraffic() wires one TrafficConfig — N stream sources, an
+ * arbitration policy, one memory system — into a Simulation, runs it
  * to drain under the standard watchdogs, and reduces ServiceStats into
  * a TrafficResult (throughput, latency percentiles, occupancy,
- * bank-controller utilization).
+ * bank-controller utilization). The streams are seated as one tenant
+ * of the event-driven fleet::FleetArbiter (fleet/fleet_arbiter.hh),
+ * whose per-step cost follows events rather than the stream count;
+ * the flat StreamArbiter (traffic/arbiter.hh) is the reference it is
+ * tested against.
  *
  * runLoadSweep() evaluates a ladder of offered loads across memory
  * systems on the SweepExecutor's generic task engine, inheriting its

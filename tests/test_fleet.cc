@@ -2,12 +2,19 @@
  * @file
  * Fleet subsystem tests.
  *
- * The load-bearing one is the differential: a single-tenant fleet
- * under the hierarchical FleetArbiter must be cycle-exact against the
- * flat StreamArbiter across systems, policies, clocking modes, and
- * shed configurations — same drain cycle, same latency distributions,
- * same counters. That is what licenses every fleet-scale number the
- * capacity-planning recipes produce.
+ * The load-bearing ones are the differentials against the flat
+ * StreamArbiter, driven here by referenceTraffic() — runTraffic's loop
+ * with a StreamArbiter in place of its one-tenant FleetArbiter:
+ *
+ *  - runTraffic (a one-tenant FleetArbiter) must produce the same
+ *    TrafficResult JSON, byte for byte: drain cycle, processed and
+ *    skipped cycles, mean occupancy, and every stream's latencies,
+ *    deferrals, queue peak and shed counts. Systems x policies x
+ *    clocking modes x shed configurations, plus closed-loop and
+ *    trace-replay arrivals.
+ *  - runFleet with one tenant must match it too (drain cycle, latency
+ *    distributions, counters), which is what licenses every
+ *    fleet-scale number the capacity-planning recipes produce.
  *
  * The rest holds the sharded runner to its determinism contract
  * (byte-identical JSON at any worker count), checks conservation
@@ -15,6 +22,7 @@
  * against the arbiter's own counters.
  */
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +32,8 @@
 #include "expect_sim_error.hh"
 #include "fleet/fleet_runner.hh"
 #include "sim/sim_error.hh"
+#include "sim/simulation.hh"
+#include "traffic/arbiter.hh"
 #include "traffic/traffic_runner.hh"
 
 using namespace pva;
@@ -131,15 +141,213 @@ expectSummaryEq(const LatencySummary &a, const LatencySummary &b,
     EXPECT_EQ(a.p999, b.p999) << what;
 }
 
+template <typename Result>
 std::string
-jsonOf(const fleet::FleetResult &r)
+jsonOf(const Result &r)
 {
     std::ostringstream os;
     r.dumpJson(os);
     return os.str();
 }
 
+/**
+ * The flat reference: runTraffic's loop with a StreamArbiter in
+ * place of the FleetArbiter, reduced to the TrafficResult fields
+ * dumpJson writes.
+ */
+TrafficResult
+referenceTraffic(const TrafficConfig &config)
+{
+    std::vector<StreamSource> sources;
+    std::vector<std::string> names;
+    for (unsigned i = 0; i < config.streams.size(); ++i) {
+        sources.emplace_back(config.streams[i], i,
+                             config.config.bc.lineWords);
+        names.push_back(sources.back().name());
+    }
+    auto sys = makeSystem(config.system, config.config);
+    ServiceStats stats(names);
+    StreamArbiter arbiter(config.arbiter, std::move(sources), stats);
+    arbiter.applyPokes(sys->memory());
+
+    Simulation sim(config.config.clocking);
+    sim.add(sys.get());
+    sim.runUntil(
+        [&] {
+            bool done = arbiter.service(*sys, sim.now());
+            if (!done)
+                sim.requestWake(arbiter.nextWake(sim.now()));
+            return done;
+        },
+        config.limits.maxCycles, config.limits.timeoutMillis);
+
+    TrafficResult r;
+    r.cycles = sim.now();
+    r.simTicks = sim.simTicks();
+    r.cyclesSkipped = sim.cyclesSkipped();
+    r.completed = stats.completedTotal();
+    r.words = stats.wordsTotal();
+    if (r.cycles > 0) {
+        r.requestsPerKilocycle = static_cast<double>(r.completed) *
+                                 1000.0 / static_cast<double>(r.cycles);
+        r.wordsPerCycle = static_cast<double>(r.words) /
+                          static_cast<double>(r.cycles);
+    }
+    r.meanInFlight = stats.meanInFlight();
+    r.shed = stats.shedTotal();
+    if (r.completed + r.shed > 0) {
+        r.shedRate = static_cast<double>(r.shed) /
+                     static_cast<double>(r.completed + r.shed);
+    }
+    r.queueDelay = stats.aggregateQueueDelay();
+    r.serviceLatency = stats.aggregateServiceLatency();
+    r.totalLatency = stats.aggregateTotalLatency();
+
+    const StatSet &sys_stats = sys->stats();
+    const unsigned banks = config.config.geometry.banks();
+    if (r.cycles > 0 && banks > 0 &&
+        sys_stats.hasScalar("bc0.schedActiveCycles")) {
+        double active = 0.0;
+        for (unsigned b = 0; b < banks; ++b) {
+            active += static_cast<double>(sys_stats.scalar(
+                "bc" + std::to_string(b) + ".schedActiveCycles"));
+        }
+        r.bcUtilization = active / (static_cast<double>(banks) *
+                                    static_cast<double>(r.cycles));
+    }
+    for (unsigned i = 0; i < names.size(); ++i) {
+        StreamResult st;
+        st.name = names[i];
+        st.requests = arbiter.source(i).emitted();
+        st.completed = stats.completed(i);
+        st.deferrals = stats.deferrals(i);
+        st.shedDeadline = stats.shedDeadline(i);
+        st.shedOverload = stats.shedOverload(i);
+        st.queuePeak = stats.queuePeak(i);
+        st.words =
+            stats.set().scalar("traffic." + names[i] + ".wordsRead") +
+            stats.set().scalar("traffic." + names[i] + ".wordsWritten");
+        st.queueDelay = stats.queueDelay(i);
+        st.serviceLatency = stats.serviceLatency(i);
+        st.totalLatency = stats.totalLatency(i);
+        r.streams.push_back(std::move(st));
+    }
+    return r;
+}
+
+/** runTraffic and the flat reference agree on every dumped byte. */
+void
+expectMatchesReference(const TrafficConfig &tc)
+{
+    const TrafficResult ref = referenceTraffic(tc);
+    const TrafficResult got = runTraffic(tc);
+    EXPECT_GT(ref.completed, 0u);
+    EXPECT_EQ(jsonOf(got), jsonOf(ref));
+}
+
+/** A two-phase trace with pokes and a barrier, for Trace arrivals. */
+std::string
+writeReplayTrace()
+{
+    const std::string path = testing::TempDir() + "fleet_replay.trace";
+    std::ofstream(path, std::ios::trunc)
+        << "poke 4096 42\n"
+           "read 4096 19 32\n"
+           "write 8192 1 16 100\n"
+           "read 12288 3 24\n"
+           "barrier\n"
+           "read 8192 1 16\n"
+           "write 16384 8 32 7\n"
+           "read 4096 1 8\n"
+           "barrier\n"
+           "read 16384 8 32\n";
+    return path;
+}
+
 } // anonymous namespace
+
+TEST(FleetDifferential, RunTrafficMatchesFlatReferenceOpenLoop)
+{
+    const unsigned streams = 6;
+    for (SystemKind system :
+         {SystemKind::PvaSdram, SystemKind::CacheLine}) {
+        for (ArbPolicy policy : {ArbPolicy::Fifo, ArbPolicy::RoundRobin,
+                                 ArbPolicy::Priority}) {
+            for (ClockingMode clocking :
+                 {ClockingMode::Exhaustive, ClockingMode::Event}) {
+                for (bool shed : {false, true}) {
+                    const Variant v{system, policy, clocking, shed};
+                    SCOPED_TRACE(variantName(v));
+                    TrafficConfig tc = flatTwin(v, streams);
+                    // Distinct priorities and a tight queue cap add
+                    // aging picks and backpressure deferrals.
+                    for (unsigned i = 0; i < streams; ++i) {
+                        tc.streams[i].priority = i % 3;
+                        tc.streams[i].queueCapacity = 4;
+                    }
+                    expectMatchesReference(tc);
+                }
+            }
+        }
+    }
+}
+
+TEST(FleetDifferential, RunTrafficMatchesFlatReferenceClosedLoop)
+{
+    for (SystemKind system :
+         {SystemKind::PvaSdram, SystemKind::Gathering}) {
+        for (ArbPolicy policy : {ArbPolicy::Fifo, ArbPolicy::RoundRobin,
+                                 ArbPolicy::Priority}) {
+            for (ClockingMode clocking :
+                 {ClockingMode::Exhaustive, ClockingMode::Event}) {
+                for (bool shed : {false, true}) {
+                    const Variant v{system, policy, clocking, shed};
+                    SCOPED_TRACE(variantName(v));
+                    TrafficConfig tc = flatTwin(v, 4);
+                    tc.arbiter.shed.defaultDeadline = 150;
+                    for (unsigned i = 0; i < tc.streams.size(); ++i) {
+                        StreamConfig &s = tc.streams[i];
+                        s.mode = ArrivalMode::ClosedLoop;
+                        s.window = 3 + i;
+                        s.queueCapacity = 4;
+                        s.priority = i;
+                        s.pattern.readFraction = 0.5;
+                    }
+                    expectMatchesReference(tc);
+                }
+            }
+        }
+    }
+}
+
+TEST(FleetDifferential, RunTrafficMatchesFlatReferenceTraceReplay)
+{
+    const std::string trace = writeReplayTrace();
+    for (SystemKind system :
+         {SystemKind::PvaSdram, SystemKind::CacheLine}) {
+        for (ArbPolicy policy : {ArbPolicy::Fifo, ArbPolicy::RoundRobin,
+                                 ArbPolicy::Priority}) {
+            for (ClockingMode clocking :
+                 {ClockingMode::Exhaustive, ClockingMode::Event}) {
+                const Variant v{system, policy, clocking, false};
+                SCOPED_TRACE(variantName(v));
+                TrafficConfig tc;
+                tc.system = system;
+                tc.config.clocking = clocking;
+                tc.arbiter.policy = policy;
+                for (unsigned i = 0; i < 3; ++i) {
+                    StreamConfig s;
+                    s.mode = ArrivalMode::Trace;
+                    s.tracePath = trace;
+                    s.window = 1 + i;
+                    s.priority = i;
+                    tc.streams.push_back(std::move(s));
+                }
+                expectMatchesReference(tc);
+            }
+        }
+    }
+}
 
 TEST(FleetDifferential, SingleTenantMatchesFlatArbiterExactly)
 {
@@ -154,7 +362,7 @@ TEST(FleetDifferential, SingleTenantMatchesFlatArbiterExactly)
                     const Variant v{system, policy, clocking, shed};
                     SCOPED_TRACE(variantName(v));
                     const TrafficResult flat =
-                        runTraffic(flatTwin(v, streams));
+                        referenceTraffic(flatTwin(v, streams));
                     const fleet::FleetResult hier =
                         fleet::runFleet(fleetConfig(v, streams));
 
@@ -218,7 +426,7 @@ TEST(FleetDifferential, PriorityRampMatchesFlatUnderAging)
         tc.streams.push_back(std::move(s));
     }
 
-    const TrafficResult flat = runTraffic(tc);
+    const TrafficResult flat = referenceTraffic(tc);
     const fleet::FleetResult hier = fleet::runFleet(fc);
     EXPECT_EQ(hier.cycles, flat.cycles);
     EXPECT_EQ(hier.completed, flat.completed);

@@ -3,12 +3,16 @@
  * SparseMemory page-cache tests: the direct-mapped page-pointer cache
  * in front of the page map must be invisible — aliasing pages, cached
  * "no such page" answers, unwritten words of resident pages and moves
- * all read back exactly what an uncached map would.
+ * all read back exactly what an uncached map would. Pages are
+ * allocated without zeroing and track written words in a bitset, so
+ * the word-boundary offsets of that bitset are checked too.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <utility>
+#include <vector>
 
 #include "sim/memory.hh"
 
@@ -74,6 +78,88 @@ TEST(SparseMemoryCache, UnwrittenWordsOfResidentPagesReadTheBackground)
         else
             EXPECT_EQ(mem.read(page + off), bg(page + off)) << off;
     }
+}
+
+TEST(SparseMemoryCache, WrittenBitsetBoundariesAndNeighbours)
+{
+    // Offsets at both ends of the page and of a bitset word; each
+    // written word's unwritten neighbours must still read the
+    // background, whatever the (unzeroed) page data holds.
+    const WordAddr page = 31 * SparseMemory::kPageWords;
+    const WordAddr offsets[] = {0, 63, 64, 1023};
+    SparseMemory mem;
+    for (WordAddr off : offsets)
+        mem.write(page + off, static_cast<Word>(1000 + off));
+    for (WordAddr off = 0; off < SparseMemory::kPageWords; ++off) {
+        const bool written =
+            off == 0 || off == 63 || off == 64 || off == 1023;
+        EXPECT_EQ(mem.read(page + off),
+                  written ? static_cast<Word>(1000 + off)
+                          : bg(page + off))
+            << off;
+    }
+    // Neighbouring pages stay absent.
+    EXPECT_EQ(mem.read(page - 1), bg(page - 1));
+    EXPECT_EQ(mem.read(page + SparseMemory::kPageWords),
+              bg(page + SparseMemory::kPageWords));
+    EXPECT_EQ(mem.residentPages(), 1u);
+
+    // Overwriting keeps the bit set; a fresh page starts all unwritten.
+    mem.write(page + 63, 5);
+    EXPECT_EQ(mem.read(page + 63), 5u);
+    EXPECT_EQ(mem.read(page + 62), bg(page + 62));
+    const WordAddr next = page + 2 * SparseMemory::kPageWords;
+    mem.write(next + 64, 6);
+    EXPECT_EQ(mem.read(next + 63), bg(next + 63));
+    EXPECT_EQ(mem.read(next + 64), 6u);
+    EXPECT_EQ(mem.read(next + 65), bg(next + 65));
+    EXPECT_EQ(mem.residentPages(), 2u);
+}
+
+TEST(SparseMemoryCache, RecycledPageMemoryReadsTheBackground)
+{
+    // A new page may be carved from memory a dead store filled with
+    // data; only the page's own written bits decide what reads back.
+    {
+        SparseMemory old;
+        for (WordAddr a = 0; a < 8 * SparseMemory::kPageWords; ++a)
+            old.write(a, 0xdeadbeef);
+    }
+    SparseMemory mem;
+    for (WordAddr p = 0; p < 8; ++p)
+        mem.write(p * SparseMemory::kPageWords + 5, 1);
+    for (WordAddr a = 0; a < 8 * SparseMemory::kPageWords; ++a) {
+        if (a % SparseMemory::kPageWords == 5)
+            EXPECT_EQ(mem.read(a), 1u) << a;
+        else
+            EXPECT_EQ(mem.read(a), bg(a)) << a;
+    }
+}
+
+TEST(SparseMemoryCache, ManyPagesSurviveTableGrowth)
+{
+    // Page numbers that share low bits, high bits or both, written and
+    // read back across several doublings of the page table, with
+    // absent pages between them.
+    SparseMemory mem;
+    std::vector<WordAddr> addrs;
+    for (WordAddr i = 0; i < 3000; ++i) {
+        addrs.push_back(i * SparseMemory::kPageWords + i % 7);
+        addrs.push_back((i << 40) + 3);
+        addrs.push_back(((i * 977) << 20) + (i << 12) + 5);
+    }
+    for (std::size_t k = 0; k < addrs.size(); ++k) {
+        mem.write(addrs[k], static_cast<Word>(k));
+        EXPECT_EQ(mem.read(addrs[k]), static_cast<Word>(k));
+    }
+    for (std::size_t k = 0; k < addrs.size(); ++k)
+        EXPECT_EQ(mem.read(addrs[k]), static_cast<Word>(k)) << k;
+    const WordAddr absent = (WordAddr{1} << 50) + 17;
+    EXPECT_EQ(mem.read(absent), bg(absent));
+    std::set<WordAddr> pages;
+    for (WordAddr a : addrs)
+        pages.insert(a / SparseMemory::kPageWords);
+    EXPECT_EQ(mem.residentPages(), pages.size());
 }
 
 TEST(SparseMemoryCache, MoveConstructLeavesNoStaleSlot)
