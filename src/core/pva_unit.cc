@@ -26,7 +26,10 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
     devices.reserve(banks);
     bcs.reserve(banks);
     for (unsigned b = 0; b < banks; ++b) {
-        std::string dev_name = csprintf("%s.dev%u", this->name().c_str(), b);
+        // Names by concatenation: csprintf's format parsing showed up
+        // in the set-up profile of the 960-run paper grid.
+        const std::string idx = std::to_string(b);
+        std::string dev_name = this->name() + ".dev" + idx;
         if (cfg.useSram) {
             devices.push_back(std::make_unique<SramDevice>(
                 dev_name, b, cfg.geometry, backing));
@@ -39,7 +42,7 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
         }
         devices.back()->setChecker(checker.get());
         bcs.push_back(std::make_unique<BankController>(
-            csprintf("%s.bc%u", this->name().c_str(), b), b, cfg.geometry,
+            this->name() + ".bc" + idx, b, cfg.geometry,
             cfg.bc, *devices.back(), pla));
         if (cfg.faults.enabled())
             bcs.back()->enableFaults(cfg.faults, b * 2 + 1);
@@ -62,10 +65,11 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
     statSet.addDistribution("frontend.writeLatency", &statWriteLatency);
     registerSimStats(statSet);
     for (unsigned b = 0; b < banks; ++b) {
-        bcs[b]->registerStats(statSet, csprintf("bc%u", b));
+        const std::string idx = std::to_string(b);
+        bcs[b]->registerStats(statSet, "bc" + idx);
         if (!cfg.useSram) {
             static_cast<SdramDevice *>(devices[b].get())
-                ->registerStats(statSet, csprintf("dev%u", b));
+                ->registerStats(statSet, "dev" + idx);
         }
     }
 

@@ -151,7 +151,7 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
     admitStamp[local] = now + 1;
 
     StreamSource &src = sources[local];
-    std::deque<TrafficRequest> &q = queues[local];
+    RingDeque<TrafficRequest> &q = queues[local];
     bool deferred = false;
     while (src.arrivalReady(now)) {
         if (q.size() >= src.config().queueCapacity) {
@@ -175,7 +175,7 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
             break;
         }
         const bool wasEmpty = q.empty();
-        q.push_back(src.emit(now));
+        q.pushBack() = src.emit(now);
         stats.onArrival(local);
         stats.onQueueDepth(local, q.size());
         PVA_TRACE_INSTANT(root.traceTrack(), now, "enqueue", "stream",
@@ -242,14 +242,14 @@ TenantArbiter::shedExpired(Cycle now)
     while (!expiryHeap.empty() && expiryHeap.top().first <= now) {
         const auto [e, local] = expiryHeap.top();
         expiryHeap.pop();
-        std::deque<TrafficRequest> &q = queues[local];
+        RingDeque<TrafficRequest> &q = queues[local];
         const Cycle budget = shedDeadline[local];
         // Live iff the current head still carries this expiry (every
         // head change pushed a fresh entry, so no live one is missed).
         if (q.empty() || q.front().arrival + budget + 1 != e)
             continue;
         while (!q.empty() && now - q.front().arrival > budget) {
-            q.pop_front();
+            q.popFront();
             stats.onShedDeadline(local);
             sources[local].onComplete();
             if (shedChannel->hasSubscribers())
@@ -340,9 +340,9 @@ TenantArbiter::rrFirst(unsigned &local) const
 void
 TenantArbiter::popGranted(unsigned local, Cycle now)
 {
-    std::deque<TrafficRequest> &q = queues[local];
+    RingDeque<TrafficRequest> &q = queues[local];
     stats.onSubmit(local, now - q.front().arrival);
-    q.pop_front();
+    q.popFront();
     if (q.empty())
         queueBecameEmpty(local);
     else
@@ -363,7 +363,7 @@ TenantArbiter::minExpiry()
 {
     while (!expiryHeap.empty()) {
         const auto [e, local] = expiryHeap.top();
-        const std::deque<TrafficRequest> &q = queues[local];
+        const RingDeque<TrafficRequest> &q = queues[local];
         if (!q.empty() && q.front().arrival + shedDeadline[local] + 1 == e)
             return e;
         expiryHeap.pop();

@@ -46,7 +46,6 @@
 #define PVA_FLEET_FLEET_ARBITER_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
 #include <set>
@@ -57,6 +56,7 @@
 
 #include "core/memory_system.hh"
 #include "fleet/message_bus.hh"
+#include "sim/pool.hh"
 #include "traffic/arbiter.hh"
 #include "traffic/service_stats.hh"
 #include "traffic/stream.hh"
@@ -169,7 +169,10 @@ class TenantArbiter
     std::vector<Cycle> shedDeadline;
     std::vector<std::size_t> shedDepth;
 
-    std::vector<std::deque<TrafficRequest>> queues;
+    /** Per-stream request queues. RingDeque holds no heap memory
+     *  until its first push (an empty std::deque holds ~544 bytes),
+     *  which matters at 10^5 streams. */
+    std::vector<RingDeque<TrafficRequest>> queues;
 
     /** @name Admission worklists
      * A stream is processed at most once per step (admitStamp).

@@ -16,8 +16,10 @@
  * slots without destroying them. Erasure shuffles elements with
  * std::swap rather than move-assignment, so vector capacities rotate
  * around the ring instead of being freed. Capacity grows by powers of
- * two and never shrinks; a workload's steady state therefore touches
- * the allocator only until its high-water mark is reached.
+ * two from one slot and never shrinks; a workload's steady state
+ * therefore touches the allocator only until its high-water mark is
+ * reached, and an empty ring that was never pushed holds no heap
+ * memory (the fleet keeps one per stream).
  */
 
 #ifndef PVA_SIM_POOL_HH
@@ -70,7 +72,7 @@ class RingDeque
     pushBack()
     {
         if (count == slots.size())
-            grow(slots.size() ? slots.size() * 2 : 4);
+            grow(slots.size() ? slots.size() * 2 : 1);
         T &slot = slots[wrap(head + count)];
         ++count;
         return slot;
@@ -119,7 +121,7 @@ class RingDeque
     void
     grow(std::size_t at_least)
     {
-        std::size_t cap = 4;
+        std::size_t cap = 1;
         while (cap < at_least)
             cap *= 2;
         std::vector<T> bigger(cap);

@@ -1,5 +1,9 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
+#include <bit>
+#include <functional>
+
 #include "sim/logging.hh"
 
 namespace pva
@@ -186,84 +190,179 @@ LogHistogram::nonZeroBuckets() const
     return out;
 }
 
+namespace
+{
+
+/** Hash of (kind, name), folded to the 32 bits an entry keeps. */
+std::uint32_t
+hashName(std::uint8_t kind, std::string_view name)
+{
+    const std::uint64_t h = std::hash<std::string_view>{}(name) ^ kind;
+    return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+const char *const kKindNames[] = {"scalar", "distribution", "histogram"};
+
+} // anonymous namespace
+
+std::string_view
+StatSet::nameOf(const Entry &e) const
+{
+    return std::string_view(names).substr(e.nameOffset, e.nameLength);
+}
+
+std::size_t
+StatSet::probe(Kind kind, std::string_view name, std::uint32_t hash) const
+{
+    // Fibonacci hashing picks the home slot (the top log2(size) bits
+    // of the product); linear probing from there.
+    const std::size_t mask = index.size() - 1;
+    std::size_t i =
+        (hash * 0x9e3779b9u) >> (32 - std::countr_zero(index.size()));
+    for (; index[i] != 0; i = (i + 1) & mask) {
+        const Entry &e = entries[index[i] - 1];
+        if (e.hash == hash && e.kind == kind && nameOf(e) == name)
+            break;
+    }
+    return i;
+}
+
+void
+StatSet::growIndex()
+{
+    index.assign(index.empty() ? 32 : 2 * index.size(), 0);
+    for (std::uint32_t n = 0; n < entries.size(); ++n) {
+        const Entry &e = entries[n];
+        index[probe(e.kind, nameOf(e), e.hash)] = n + 1;
+    }
+}
+
+const void *
+StatSet::find(Kind kind, const std::string &name) const
+{
+    if (index.empty())
+        return nullptr;
+    const std::uint32_t n = index[probe(
+        kind, name, hashName(static_cast<std::uint8_t>(kind), name))];
+    return n != 0 ? entries[n - 1].stat : nullptr;
+}
+
+void
+StatSet::add(Kind kind, const std::string &name, const void *stat)
+{
+    if (2 * (entries.size() + 1) > index.size())
+        growIndex();
+    const std::uint32_t hash =
+        hashName(static_cast<std::uint8_t>(kind), name);
+    const std::size_t slot = probe(kind, name, hash);
+    if (index[slot] != 0)
+        panic("duplicate %s stat '%s'",
+              kKindNames[static_cast<int>(kind)], name.c_str());
+    entries.push_back({stat, static_cast<std::uint32_t>(names.size()),
+                       static_cast<std::uint32_t>(name.size()), hash,
+                       kind});
+    names += name;
+    index[slot] = static_cast<std::uint32_t>(entries.size());
+}
+
+std::vector<const StatSet::Entry *>
+StatSet::sorted(Kind kind) const
+{
+    std::vector<const Entry *> out;
+    for (const Entry &e : entries) {
+        if (e.kind == kind)
+            out.push_back(&e);
+    }
+    // string_view compares like std::string (char_traits, as unsigned
+    // bytes), so the order is the one a std::map<std::string> keeps.
+    std::sort(out.begin(), out.end(),
+              [this](const Entry *a, const Entry *b) {
+                  return nameOf(*a) < nameOf(*b);
+              });
+    return out;
+}
+
 void
 StatSet::addScalar(const std::string &name, const Scalar *stat)
 {
-    if (!scalars.emplace(name, stat).second)
-        panic("duplicate scalar stat '%s'", name.c_str());
+    add(Kind::Scalar, name, stat);
 }
 
 void
 StatSet::addDistribution(const std::string &name, const Distribution *stat)
 {
-    if (!distributions.emplace(name, stat).second)
-        panic("duplicate distribution stat '%s'", name.c_str());
+    add(Kind::Distribution, name, stat);
 }
 
 void
 StatSet::addHistogram(const std::string &name, const LogHistogram *stat)
 {
-    if (!histograms.emplace(name, stat).second)
-        panic("duplicate histogram stat '%s'", name.c_str());
+    add(Kind::Histogram, name, stat);
 }
 
 std::uint64_t
 StatSet::scalar(const std::string &name) const
 {
-    auto it = scalars.find(name);
-    if (it == scalars.end())
+    const void *stat = find(Kind::Scalar, name);
+    if (!stat)
         panic("no scalar stat named '%s'", name.c_str());
-    return it->second->value();
+    return static_cast<const Scalar *>(stat)->value();
 }
 
 bool
 StatSet::hasScalar(const std::string &name) const
 {
-    return scalars.find(name) != scalars.end();
+    return find(Kind::Scalar, name) != nullptr;
 }
 
 const Distribution &
 StatSet::distribution(const std::string &name) const
 {
-    auto it = distributions.find(name);
-    if (it == distributions.end())
+    const void *stat = find(Kind::Distribution, name);
+    if (!stat)
         panic("no distribution stat named '%s'", name.c_str());
-    return *it->second;
+    return *static_cast<const Distribution *>(stat);
 }
 
 bool
 StatSet::hasDistribution(const std::string &name) const
 {
-    return distributions.find(name) != distributions.end();
+    return find(Kind::Distribution, name) != nullptr;
 }
 
 const LogHistogram &
 StatSet::histogram(const std::string &name) const
 {
-    auto it = histograms.find(name);
-    if (it == histograms.end())
+    const void *stat = find(Kind::Histogram, name);
+    if (!stat)
         panic("no histogram stat named '%s'", name.c_str());
-    return *it->second;
+    return *static_cast<const LogHistogram *>(stat);
 }
 
 bool
 StatSet::hasHistogram(const std::string &name) const
 {
-    return histograms.find(name) != histograms.end();
+    return find(Kind::Histogram, name) != nullptr;
 }
 
 void
 StatSet::dump(std::ostream &os) const
 {
-    for (const auto &[name, stat] : scalars)
-        os << name << " " << stat->value() << "\n";
-    for (const auto &[name, stat] : distributions) {
+    for (const Entry *e : sorted(Kind::Scalar)) {
+        os << nameOf(*e) << " "
+           << static_cast<const Scalar *>(e->stat)->value() << "\n";
+    }
+    for (const Entry *e : sorted(Kind::Distribution)) {
+        const std::string_view name = nameOf(*e);
+        const auto *stat = static_cast<const Distribution *>(e->stat);
         os << name << ".samples " << stat->samples() << "\n";
         os << name << ".min " << stat->minValue() << "\n";
         os << name << ".max " << stat->maxValue() << "\n";
         os << name << ".mean " << stat->mean() << "\n";
     }
-    for (const auto &[name, stat] : histograms) {
+    for (const Entry *e : sorted(Kind::Histogram)) {
+        const std::string_view name = nameOf(*e);
+        const auto *stat = static_cast<const LogHistogram *>(e->stat);
         os << name << ".samples " << stat->samples() << "\n";
         os << name << ".min " << stat->minValue() << "\n";
         os << name << ".max " << stat->maxValue() << "\n";
@@ -279,8 +378,10 @@ void
 StatSet::dumpCsv(std::ostream &os) const
 {
     os << "stat,value\n";
-    for (const auto &[name, stat] : scalars)
-        os << name << "," << stat->value() << "\n";
+    for (const Entry *e : sorted(Kind::Scalar)) {
+        os << nameOf(*e) << ","
+           << static_cast<const Scalar *>(e->stat)->value() << "\n";
+    }
 }
 
 void
@@ -288,15 +389,16 @@ StatSet::dumpJson(std::ostream &os) const
 {
     os << "{\"scalars\": {";
     bool first = true;
-    for (const auto &[name, stat] : scalars) {
-        os << (first ? "" : ", ") << '"' << name
-           << "\": " << stat->value();
+    for (const Entry *e : sorted(Kind::Scalar)) {
+        os << (first ? "" : ", ") << '"' << nameOf(*e) << "\": "
+           << static_cast<const Scalar *>(e->stat)->value();
         first = false;
     }
     os << "}, \"distributions\": {";
     first = true;
-    for (const auto &[name, stat] : distributions) {
-        os << (first ? "" : ", ") << '"' << name << "\": {"
+    for (const Entry *e : sorted(Kind::Distribution)) {
+        const auto *stat = static_cast<const Distribution *>(e->stat);
+        os << (first ? "" : ", ") << '"' << nameOf(*e) << "\": {"
            << "\"samples\": " << stat->samples()
            << ", \"min\": " << stat->minValue()
            << ", \"max\": " << stat->maxValue()
@@ -313,8 +415,9 @@ StatSet::dumpJson(std::ostream &os) const
     }
     os << "}, \"histograms\": {";
     first = true;
-    for (const auto &[name, stat] : histograms) {
-        os << (first ? "" : ", ") << '"' << name << "\": {"
+    for (const Entry *e : sorted(Kind::Histogram)) {
+        const auto *stat = static_cast<const LogHistogram *>(e->stat);
+        os << (first ? "" : ", ") << '"' << nameOf(*e) << "\": {"
            << "\"samples\": " << stat->samples()
            << ", \"min\": " << stat->minValue()
            << ", \"max\": " << stat->maxValue()

@@ -10,9 +10,9 @@
 #define PVA_SIM_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -150,6 +150,14 @@ class LogHistogram
  *
  * Stats objects are owned by their components; the StatSet stores
  * non-owning pointers plus dotted names (e.g. "pva.bc3.rowHits").
+ *
+ * A PVA system registers a few hundred stats and most runs look up a
+ * handful, so the set is laid out for cheap registration: one flat
+ * entry array in registration order, every name in one shared string,
+ * and an open-addressing index on (kind, name) for the duplicate check
+ * and the by-name lookups. The dumps sort each kind by name when they
+ * are called, in std::string order. A name may be reused across kinds
+ * (a scalar and a histogram both called "x"), never within one.
  */
 class StatSet
 {
@@ -191,14 +199,41 @@ class StatSet
      *  "histograms": {name: {"samples": n, "min": lo, "max": hi,
      *                        "mean": m, "p50": v, "p95": v, "p99": v,
      *                        "p999": v}, ...}}
-     * Keys are sorted (map order), so the output is deterministic.
+     * Keys are sorted by name, so the output is deterministic.
      */
     void dumpJson(std::ostream &os) const;
 
   private:
-    std::map<std::string, const Scalar *> scalars;
-    std::map<std::string, const Distribution *> distributions;
-    std::map<std::string, const LogHistogram *> histograms;
+    enum class Kind : std::uint8_t { Scalar, Distribution, Histogram };
+
+    /** One registered stat; its name is names[nameOffset, +nameLength). */
+    struct Entry
+    {
+        const void *stat;
+        std::uint32_t nameOffset;
+        std::uint32_t nameLength;
+        std::uint32_t hash;
+        Kind kind;
+    };
+
+    void add(Kind kind, const std::string &name, const void *stat);
+    /** The stat registered as (@p kind, @p name), or nullptr. */
+    const void *find(Kind kind, const std::string &name) const;
+    /** The index slot holding (@p kind, @p name), or the empty slot
+     *  where it would go. The index must not be empty. */
+    std::size_t probe(Kind kind, std::string_view name,
+                      std::uint32_t hash) const;
+    /** Double the index (or create it) and re-seat every entry. */
+    void growIndex();
+    std::string_view nameOf(const Entry &e) const;
+    /** Entries of @p kind, sorted by name. */
+    std::vector<const Entry *> sorted(Kind kind) const;
+
+    std::vector<Entry> entries; ///< Registration order
+    std::string names;          ///< Every name, back to back
+    /** Open-addressing slots (power of two, at most half full):
+     *  entry index + 1, or 0 for an empty slot. */
+    std::vector<std::uint32_t> index;
 };
 
 } // namespace pva

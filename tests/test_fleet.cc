@@ -349,6 +349,39 @@ TEST(FleetDifferential, RunTrafficMatchesFlatReferenceTraceReplay)
     }
 }
 
+TEST(FleetDifferential, DeepQueuesShedFromTheHeadWhileWrapped)
+{
+    // Overloaded streams with deep queues and a short deadline: every
+    // queue grows past one entry, its head advances round the ring as
+    // grants pop it, and deadline shedding drops expired heads from a
+    // wrapped ring. Both tiers must still match the flat reference.
+    for (SystemKind system :
+         {SystemKind::PvaSdram, SystemKind::Gathering}) {
+        for (ArbPolicy policy : {ArbPolicy::Fifo, ArbPolicy::RoundRobin,
+                                 ArbPolicy::Priority}) {
+            const Variant v{system, policy, ClockingMode::Event, true};
+            SCOPED_TRACE(variantName(v));
+            TrafficConfig tc = flatTwin(v, 3);
+            tc.arbiter.shed.defaultDeadline = 120;
+            tc.arbiter.shed.queueHighWatermark = 1.0;
+            for (StreamConfig &s : tc.streams) {
+                s.requestsPerKilocycle = 200.0;
+                s.requests = 64;
+                s.queueCapacity = 6;
+            }
+            const TrafficResult got = runTraffic(tc);
+            std::uint64_t deep_and_shed = 0;
+            for (const StreamResult &st : got.streams) {
+                EXPECT_GT(st.completed, 0u) << st.name;
+                if (st.queuePeak >= 3 && st.shedDeadline > 0)
+                    ++deep_and_shed;
+            }
+            EXPECT_EQ(deep_and_shed, got.streams.size());
+            EXPECT_EQ(jsonOf(got), jsonOf(referenceTraffic(tc)));
+        }
+    }
+}
+
 TEST(FleetDifferential, SingleTenantMatchesFlatArbiterExactly)
 {
     const unsigned streams = 6;
