@@ -56,21 +56,6 @@ Distribution::mean() const
         : static_cast<double>(sum) / static_cast<double>(sampleCount);
 }
 
-unsigned
-LogHistogram::bucketIndex(std::uint64_t value)
-{
-    constexpr std::uint64_t linear = 1ULL << kSubBits;
-    if (value < linear)
-        return static_cast<unsigned>(value);
-    unsigned msb = 63;
-    while (!(value & (1ULL << msb)))
-        --msb;
-    unsigned shift = msb - kSubBits;
-    unsigned sub =
-        static_cast<unsigned>((value >> shift) & (linear - 1));
-    return ((msb - kSubBits + 1) << kSubBits) | sub;
-}
-
 std::uint64_t
 LogHistogram::bucketLowerBound(unsigned index)
 {
@@ -83,22 +68,29 @@ LogHistogram::bucketLowerBound(unsigned index)
 }
 
 void
-LogHistogram::sample(std::uint64_t value)
+LogHistogram::cover(unsigned first, unsigned last)
 {
-    if (counts.empty())
-        counts.assign(kBucketCount, 0);
-    if (sampleCount == 0) {
-        minSeen = value;
-        maxSeen = value;
+    // Smallest window holding the old one and [first, last], then
+    // grown to at least twice the old size (kFirstWindow on the first
+    // sample) on the side that needed it, inside [0, kBucketCount).
+    constexpr unsigned kFirstWindow = 2u << kSubBits; // two octaves
+    const auto n = static_cast<unsigned>(counts.size());
+    const bool downward = n > 0 && first < lo;
+    unsigned newLo = n > 0 ? std::min(lo, first) : first;
+    unsigned newHi = n > 0 ? std::max(lo + n, last + 1) : last + 1;
+    const unsigned size = std::min(
+        kBucketCount, std::max(newHi - newLo, n > 0 ? 2 * n : kFirstWindow));
+    if (downward) {
+        newLo = newHi > size ? newHi - size : 0;
     } else {
-        if (value < minSeen)
-            minSeen = value;
-        if (value > maxSeen)
-            maxSeen = value;
+        newHi = std::min(kBucketCount, newLo + size);
+        newLo = newHi - size;
     }
-    ++sampleCount;
-    sum += value;
-    ++counts[bucketIndex(value)];
+    std::vector<std::uint64_t> grown(size, 0);
+    if (n > 0)
+        std::copy(counts.begin(), counts.end(), grown.begin() + (lo - newLo));
+    counts.swap(grown);
+    lo = newLo;
 }
 
 void
@@ -108,14 +100,7 @@ LogHistogram::reset()
     sum = 0;
     minSeen = 0;
     maxSeen = 0;
-    counts.clear();
-}
-
-void
-LogHistogram::preallocate()
-{
-    if (counts.empty())
-        counts.assign(kBucketCount, 0);
+    std::fill(counts.begin(), counts.end(), 0);
 }
 
 void
@@ -134,9 +119,11 @@ LogHistogram::merge(const LogHistogram &other)
     }
     sampleCount += other.sampleCount;
     sum += other.sum;
-    preallocate();
-    for (unsigned i = 0; i < kBucketCount; ++i)
-        counts[i] += other.counts[i];
+    const auto n = static_cast<unsigned>(other.counts.size());
+    if (other.lo < lo || other.lo + n > lo + counts.size())
+        cover(other.lo, other.lo + n - 1);
+    for (unsigned k = 0; k < n; ++k)
+        counts[other.lo - lo + k] += other.counts[k];
 }
 
 double
@@ -160,10 +147,13 @@ LogHistogram::percentile(double p) const
         p / 100.0 * static_cast<double>(sampleCount) + 0.9999999);
     if (rank > sampleCount)
         rank = sampleCount;
+    if (rank == 0) // a p so small no sample is asked for
+        return minSeen;
     std::uint64_t seen = 0;
-    for (unsigned i = 0; i < kBucketCount; ++i) {
-        seen += counts[i];
+    for (unsigned k = 0; k < counts.size(); ++k) {
+        seen += counts[k];
         if (seen >= rank) {
+            const unsigned i = lo + k;
             // Report the bucket's inclusive upper edge (conservative
             // for latency SLOs), clamped to the observed range.
             std::uint64_t hi = i + 1 < kBucketCount
@@ -183,9 +173,9 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>>
 LogHistogram::nonZeroBuckets() const
 {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    for (unsigned i = 0; i < counts.size(); ++i) {
-        if (counts[i])
-            out.emplace_back(bucketLowerBound(i), counts[i]);
+    for (unsigned k = 0; k < counts.size(); ++k) {
+        if (counts[k])
+            out.emplace_back(bucketLowerBound(lo + k), counts[k]);
     }
     return out;
 }

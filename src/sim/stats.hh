@@ -9,6 +9,7 @@
 #ifndef PVA_SIM_STATS_HH
 #define PVA_SIM_STATS_HH
 
+#include <bit>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -67,14 +68,22 @@ class Distribution
 };
 
 /**
- * A fixed-bucket log-scale histogram with percentile queries.
+ * A log-scale histogram with percentile queries.
  *
  * Values are binned HDR-style: 8 linear sub-buckets per power of two,
  * so relative bucket error is bounded at ~12.5% across the whole
- * 64-bit range while storage stays a fixed 512-slot array. Built for
- * latency samples (cycles), where percentile tails — p99/p999 — are
- * the interesting signal and a linear Distribution either loses the
- * tail or wastes thousands of buckets on it.
+ * 64-bit range, in a fixed partition of kBucketCount (496) buckets.
+ * Built for latency samples (cycles), where percentile tails —
+ * p99/p999 — are the interesting signal and a linear Distribution
+ * either loses the tail or wastes thousands of buckets on it.
+ *
+ * Only a window [lo, lo + n) of that partition is stored: the buckets
+ * the samples (and merges) have reached, plus slack. A latency
+ * histogram touches a few dozen buckets, so a fleet tenant's
+ * histograms stay a few hundred bytes instead of 4 KB each. Sampling
+ * inside the window is a counter increment; reaching past it widens
+ * the window to at least twice its size, so a histogram widens
+ * O(log kBucketCount) times and then never allocates again.
  */
 class LogHistogram
 {
@@ -84,15 +93,29 @@ class LogHistogram
     static constexpr unsigned kBucketCount =
         (64 - kSubBits + 1) << kSubBits;
 
-    void sample(std::uint64_t value);
-    void reset();
+    void
+    sample(std::uint64_t value)
+    {
+        const unsigned b = bucketIndex(value);
+        if (b - lo >= counts.size()) // below lo wraps around, too
+            cover(b, b);
+        ++counts[b - lo];
+        if (sampleCount == 0) {
+            minSeen = value;
+            maxSeen = value;
+        } else {
+            if (value < minSeen)
+                minSeen = value;
+            if (value > maxSeen)
+                maxSeen = value;
+        }
+        ++sampleCount;
+        sum += value;
+    }
 
-    /**
-     * Allocate the bucket array now instead of on the first sample.
-     * Hot-path callers (ServiceStats, per-cycle hooks) preallocate at
-     * construction so sample() never allocates mid-run.
-     */
-    void preallocate();
+    /** Forget every sample. The window is kept (zeroed), so sampling
+     *  the same range again does not allocate. */
+    void reset();
 
     /**
      * Fold @p other into this histogram: bucket-wise count addition
@@ -127,7 +150,18 @@ class LogHistogram
     std::uint64_t p999() const { return percentile(99.9); }
 
     /** Bucket index a value falls in (exposed for tests). */
-    static unsigned bucketIndex(std::uint64_t value);
+    static unsigned
+    bucketIndex(std::uint64_t value)
+    {
+        constexpr std::uint64_t linear = 1ULL << kSubBits;
+        if (value < linear)
+            return static_cast<unsigned>(value);
+        const unsigned msb = std::bit_width(value) - 1;
+        const unsigned shift = msb - kSubBits;
+        const unsigned sub =
+            static_cast<unsigned>((value >> shift) & (linear - 1));
+        return ((msb - kSubBits + 1) << kSubBits) | sub;
+    }
 
     /** Inclusive lower edge of bucket @p index. */
     static std::uint64_t bucketLowerBound(unsigned index);
@@ -137,12 +171,17 @@ class LogHistogram
     nonZeroBuckets() const;
 
   private:
+    /** Widen the window to hold buckets [first, last], with slack. */
+    void cover(unsigned first, unsigned last);
+
     std::uint64_t sampleCount = 0;
     std::uint64_t sum = 0;
     std::uint64_t minSeen = 0;
     std::uint64_t maxSeen = 0;
-    std::vector<std::uint64_t> counts; ///< Allocated on first sample
-
+    /** Counts of buckets [lo, lo + counts.size()); empty until the
+     *  first sample or merge. */
+    std::vector<std::uint64_t> counts;
+    unsigned lo = 0;
 };
 
 /**

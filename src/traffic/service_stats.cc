@@ -24,8 +24,8 @@ ServiceStats::ServiceStats(const std::vector<std::string> &names,
 {
     // All traffic metrics live under the "traffic." namespace so the
     // tools' JSON envelope carries one predictable key shape (see
-    // docs/API.md). Histograms are preallocated here so the per-cycle
-    // hooks (onSubmit/onComplete, gap credits) never allocate.
+    // docs/API.md). Histograms grow their bucket windows as latencies
+    // reach new buckets, a few times per run (see LogHistogram).
     auto registerOne = [&](const std::string &prefix,
                            StreamCounters &c) {
         statSet.addScalar(prefix + ".arrivals", &c.arrivals);
@@ -41,9 +41,6 @@ ServiceStats::ServiceStats(const std::vector<std::string> &names,
         statSet.addHistogram(prefix + ".serviceLatency",
                              &c.serviceLatency);
         statSet.addHistogram(prefix + ".totalLatency", &c.totalLatency);
-        c.queueDelay.preallocate();
-        c.serviceLatency.preallocate();
-        c.totalLatency.preallocate();
     };
 
     if (detail == Detail::PerStream) {

@@ -54,9 +54,9 @@ class ServiceStats
     /**
      * How much per-stream state to keep. A fleet-scale tenant
      * (src/fleet/) modeling 10^4+ streams keeps AggregateOnly stats —
-     * three preallocated histograms per *stream* would dominate its
-     * memory footprint — while the classic traffic path keeps the
-     * full per-stream registry.
+     * nine counters, three histograms and a dozen registry names per
+     * *stream* would dominate its memory footprint — while the classic
+     * traffic path keeps the full per-stream registry.
      */
     enum class Detail
     {

@@ -1,0 +1,41 @@
+#include "alloc_counter.hh"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace
+{
+
+std::atomic<std::uint64_t> allocCount{0};
+
+} // anonymous namespace
+
+std::uint64_t
+pva::test::allocations()
+{
+    return allocCount.load(std::memory_order_relaxed);
+}
+
+void *
+operator new(std::size_t n)
+{
+    allocCount.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    allocCount.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }

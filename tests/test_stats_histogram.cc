@@ -1,16 +1,121 @@
 /**
  * @file
- * LogHistogram unit tests: bucket index math, percentile queries, and
+ * LogHistogram unit tests: bucket index math, percentile queries, the
+ * windowed bucket store against a full-partition reference, and
  * StatSet registration/dump integration.
  */
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hh"
 #include "sim/stats.hh"
 
 using namespace pva;
+
+namespace
+{
+
+/**
+ * Every one of the kBucketCount buckets, always stored: what a
+ * LogHistogram reports must not depend on which window it keeps.
+ */
+struct FullHistogram
+{
+    std::array<std::uint64_t, LogHistogram::kBucketCount> counts{};
+    std::uint64_t n = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+
+    void
+    sample(std::uint64_t v)
+    {
+        ++counts[LogHistogram::bucketIndex(v)];
+        lo = n == 0 || v < lo ? v : lo;
+        hi = n == 0 || v > hi ? v : hi;
+        ++n;
+        sum += v;
+    }
+
+    std::uint64_t
+    percentile(double p) const
+    {
+        if (n == 0)
+            return 0;
+        if (p <= 0.0)
+            return lo;
+        auto rank = static_cast<std::uint64_t>(
+            p / 100.0 * static_cast<double>(n) + 0.9999999);
+        rank = std::min(rank, n);
+        std::uint64_t seen = 0;
+        for (unsigned i = 0; i < LogHistogram::kBucketCount; ++i) {
+            seen += counts[i];
+            if (seen >= rank) {
+                std::uint64_t edge = i + 1 < LogHistogram::kBucketCount
+                    ? LogHistogram::bucketLowerBound(i + 1) - 1
+                    : hi;
+                return std::max(lo, std::min(edge, hi));
+            }
+        }
+        return hi;
+    }
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>
+    nonZeroBuckets() const
+    {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+        for (unsigned i = 0; i < LogHistogram::kBucketCount; ++i) {
+            if (counts[i])
+                out.emplace_back(LogHistogram::bucketLowerBound(i),
+                                 counts[i]);
+        }
+        return out;
+    }
+};
+
+void
+expectMatchesReference(const LogHistogram &h, const FullHistogram &ref)
+{
+    EXPECT_EQ(h.samples(), ref.n);
+    EXPECT_EQ(h.minValue(), ref.lo);
+    EXPECT_EQ(h.maxValue(), ref.hi);
+    EXPECT_DOUBLE_EQ(h.mean(), ref.n ? static_cast<double>(ref.sum) /
+                                           static_cast<double>(ref.n)
+                                     : 0.0);
+    EXPECT_EQ(h.nonZeroBuckets(), ref.nonZeroBuckets());
+    for (double p : {0.0, 1e-9, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0,
+                     99.0, 99.9, 100.0})
+        EXPECT_EQ(h.percentile(p), ref.percentile(p)) << "p" << p;
+}
+
+/** Seeded values spread over every octave, with the range's edges. */
+std::vector<std::uint64_t>
+edgyValues(std::uint64_t seed, std::size_t count)
+{
+    constexpr std::uint64_t kEdges[] = {
+        0, 7, 8, 1ULL << 63, std::numeric_limits<std::uint64_t>::max()};
+    std::vector<std::uint64_t> out;
+    std::uint64_t x = seed;
+    for (std::size_t i = 0; i < count; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        out.push_back((x ^ (x >> 29)) >> (x % 64));
+        if (i % 97 == 40) {
+            out.insert(out.end(), std::begin(kEdges), std::end(kEdges));
+        }
+    }
+    return out;
+}
+
+} // anonymous namespace
 
 TEST(LogHistogram, ValuesBelowTheLinearRangeMapToThemselves)
 {
@@ -122,4 +227,77 @@ TEST(StatSetHistogram, RegisteredHistogramsAppearInDumps)
     set.dumpJson(json);
     EXPECT_NE(json.str().find("\"histograms\""), std::string::npos);
     EXPECT_NE(json.str().find("\"lat\""), std::string::npos);
+}
+
+TEST(LogHistogramWindow, MatchesAFullBucketReference)
+{
+    // Start high, mid and low, so the window widens downward, upward
+    // and both ways; compare after every 50 samples.
+    for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 99ULL}) {
+        std::vector<std::uint64_t> values = edgyValues(seed, 600);
+        if (seed == 2)
+            values.insert(values.begin(), 1ULL << 40);
+        if (seed == 3)
+            values.insert(values.begin(), 0);
+        LogHistogram h;
+        FullHistogram ref;
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            h.sample(values[i]);
+            ref.sample(values[i]);
+            if (i % 50 == 0 || i + 1 == values.size())
+                expectMatchesReference(h, ref);
+        }
+    }
+}
+
+TEST(LogHistogramWindow, NarrowRangesMatchTheReference)
+{
+    // Latency-like samples inside one or two octaves, then one far
+    // outlier each way.
+    LogHistogram h;
+    FullHistogram ref;
+    for (std::uint64_t v = 40; v < 90; v += 3) {
+        h.sample(v);
+        ref.sample(v);
+        expectMatchesReference(h, ref);
+    }
+    for (std::uint64_t v : {1ULL << 62, 0ULL, 55ULL}) {
+        h.sample(v);
+        ref.sample(v);
+        expectMatchesReference(h, ref);
+    }
+}
+
+TEST(LogHistogramWindow, ResetThenNewSamplesMatchAFreshHistogram)
+{
+    LogHistogram h;
+    for (std::uint64_t v : edgyValues(5, 200))
+        h.sample(v);
+    h.reset();
+    expectMatchesReference(h, FullHistogram{});
+
+    // New samples on both sides of the old range, and inside it.
+    FullHistogram ref;
+    for (std::uint64_t v : {300ULL, 2ULL, 1ULL << 50, 301ULL}) {
+        h.sample(v);
+        ref.sample(v);
+    }
+    expectMatchesReference(h, ref);
+}
+
+TEST(LogHistogramWindow, ASecondPassOverTheSameValuesAllocatesNothing)
+{
+    const std::vector<std::uint64_t> values = edgyValues(7, 500);
+    LogHistogram h;
+    for (std::uint64_t v : values)
+        h.sample(v);
+
+    const std::uint64_t before = test::allocations();
+    for (std::uint64_t v : values)
+        h.sample(v);
+    h.reset();
+    for (std::uint64_t v : values)
+        h.sample(v);
+    EXPECT_EQ(test::allocations() - before, 0u);
+    EXPECT_EQ(h.samples(), values.size());
 }

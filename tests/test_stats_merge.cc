@@ -129,6 +129,60 @@ TEST(LogHistogramMerge, MergingEmptyIsIdentity)
     expectHistEq(onto, h);
 }
 
+TEST(LogHistogramMerge, WindowShapesMergeAssociativelyInEitherOrder)
+{
+    // Each histogram keeps only the bucket window its samples reached:
+    // low, high (disjoint from low), one overlapping both, the 64-bit
+    // extremes, and empty.
+    std::vector<std::vector<std::uint64_t>> parts = {
+        lcgValues(1, 200, 100),
+        {1000000, 5000000, 123456789, 999999999},
+        lcgValues(2, 300, 5000),
+        {0, 1ULL << 63, ~0ULL},
+        {},
+    };
+    auto concat = [](std::vector<std::uint64_t> a,
+                     const std::vector<std::uint64_t> &b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
+    auto expectSame = [](const LogHistogram &a, const LogHistogram &b) {
+        expectHistEq(a, b);
+        for (double p : {1.0, 50.0, 90.0, 99.0, 99.9, 100.0})
+            EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+    };
+
+    for (const auto &a : parts) {
+        for (const auto &b : parts) {
+            // a <- b equals sampling a then b into one histogram.
+            LogHistogram ab = histOf(a);
+            ab.merge(histOf(b));
+            expectSame(ab, histOf(concat(a, b)));
+            for (const auto &c : parts) {
+                LogHistogram left = histOf(a);
+                left.merge(histOf(b));
+                left.merge(histOf(c));
+                LogHistogram bc = histOf(b);
+                bc.merge(histOf(c));
+                LogHistogram right = histOf(a);
+                right.merge(bc);
+                expectSame(left, right);
+            }
+        }
+    }
+}
+
+TEST(LogHistogramMerge, SelfMergeDoublesEveryBucket)
+{
+    const auto values = lcgValues(9, 400, 1 << 20);
+    LogHistogram h = histOf(values);
+    h.merge(h);
+    std::vector<std::uint64_t> twice = values;
+    twice.insert(twice.end(), values.begin(), values.end());
+    expectHistEq(h, histOf(twice));
+    EXPECT_EQ(h.p99(), histOf(twice).p99());
+}
+
 TEST(LogHistogramMerge, QuantileErrorBoundSurvivesMerge)
 {
     // Buckets are a fixed global partition with 2^3 linear slots per
