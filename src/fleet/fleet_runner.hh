@@ -39,9 +39,11 @@ struct TenantSpec
     std::string name = "tenant"; ///< Group name; tenants get "<name><t>"
     unsigned count = 1;          ///< Tenants stamped from this spec
     unsigned streamsPerTenant = 1;
-    /** Stream template. Per stream, the name becomes "s<local>", the
-     *  seed is mixed with the global stream index (splitmix64 step),
-     *  and — when regionStrideWords > 0 — the pattern region shifts by
+    /** Stream template: validated once into one StreamTemplate that
+     *  every stream of the spec shares (its name is ignored). Per
+     *  stream, the name becomes "s<local>", the seed is mixed with the
+     *  global stream index (splitmix64 step), and — when
+     *  regionStrideWords > 0 — the pattern region shifts by
      *  global_stream * regionStrideWords (disjoint regions, which is
      *  what keeps --check composable at fleet scale). */
     StreamConfig stream;
