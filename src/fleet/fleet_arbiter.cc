@@ -11,6 +11,15 @@ namespace pva::fleet
 namespace
 {
 constexpr std::uint32_t kNotDeferred = 0xffffffffu;
+
+std::size_t
+seatedStreams(const std::vector<TenantSeat> &seats)
+{
+    std::size_t n = 0;
+    for (const TenantSeat &seat : seats)
+        n += seat.sources.size();
+    return n;
+}
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -21,10 +30,10 @@ TenantArbiter::TenantArbiter(unsigned index, unsigned global_base,
                              const ArbiterConfig &config,
                              std::vector<StreamSource> sources_,
                              ServiceStats &stats_, FleetArbiter &root_,
-                             MessageBus &bus)
+                             RequestQueues &queues_, MessageBus &bus)
     : tenantIndex(index), globalBase(global_base), cfg(config),
       sources(std::move(sources_)), stats(stats_), root(root_),
-      shedChannel(&bus.channel<ShedEvent>()), queues(sources.size()),
+      queues(queues_), shedChannel(&bus.channel<ShedEvent>()),
       admitStamp(sources.size(), 0),
       deferredPos(sources.size(), kNotDeferred),
       hasArrivalEntry(sources.size(), 0), retired(sources.size(), 0)
@@ -102,7 +111,7 @@ void
 TenantArbiter::checkRetired(unsigned local)
 {
     if (retired[local] || !sources[local].exhausted() ||
-        !queues[local].empty()) {
+        !queues.empty(globalBase + local)) {
         return;
     }
     retired[local] = 1;
@@ -112,7 +121,7 @@ TenantArbiter::checkRetired(unsigned local)
 void
 TenantArbiter::newHead(unsigned local)
 {
-    const TrafficRequest &req = queues[local].front();
+    const TrafficRequest &req = queues.front(globalBase + local);
     switch (cfg.policy) {
       case ArbPolicy::Fifo:
         headHeap.emplace(req.arrival, local);
@@ -151,17 +160,18 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
     admitStamp[local] = now + 1;
 
     StreamSource &src = sources[local];
-    RingDeque<TrafficRequest> &q = queues[local];
+    const unsigned g = globalBase + local;
     bool deferred = false;
     while (src.arrivalReady(now)) {
-        if (q.size() >= src.config().queueCapacity) {
+        const std::size_t depth = queues.size(g);
+        if (depth >= src.config().queueCapacity) {
             deferred = true;
             break;
         }
-        if (cfg.shed.enabled && q.size() >= shedDepth[local]) {
+        if (cfg.shed.enabled && depth >= shedDepth[local]) {
             // Overload shed; one drop per stream per step, so the
             // retry rides the next-step worklist, not this one.
-            src.emit(now);
+            src.emitInto(root.shedScratch, now);
             stats.onArrival(local);
             stats.onShedOverload(local);
             src.onComplete();
@@ -174,14 +184,13 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
             nextStepWork.push_back(local);
             break;
         }
-        const bool wasEmpty = q.empty();
-        q.pushBack() = src.emit(now);
+        src.emitInto(queues.pushBack(g), now);
         stats.onArrival(local);
-        stats.onQueueDepth(local, q.size());
+        stats.onQueueDepth(local, depth + 1);
         PVA_TRACE_INSTANT(root.traceTrack(), now, "enqueue", "stream",
-                          globalBase + local, "depth", q.size());
+                          g, "depth", depth + 1);
         changed = true;
-        if (wasEmpty) {
+        if (depth == 0) {
             if (++nonEmptyCount == 1)
                 root.setTenantActive(tenantIndex, true);
             if (cfg.policy == ArbPolicy::RoundRobin)
@@ -242,14 +251,15 @@ TenantArbiter::shedExpired(Cycle now)
     while (!expiryHeap.empty() && expiryHeap.top().first <= now) {
         const auto [e, local] = expiryHeap.top();
         expiryHeap.pop();
-        RingDeque<TrafficRequest> &q = queues[local];
+        const unsigned g = globalBase + local;
         const Cycle budget = shedDeadline[local];
         // Live iff the current head still carries this expiry (every
         // head change pushed a fresh entry, so no live one is missed).
-        if (q.empty() || q.front().arrival + budget + 1 != e)
+        if (staleHead(local, e - budget - 1))
             continue;
-        while (!q.empty() && now - q.front().arrival > budget) {
-            q.popFront();
+        while (!queues.empty(g) &&
+               now - queues.front(g).arrival > budget) {
+            queues.popFront(g);
             stats.onShedDeadline(local);
             sources[local].onComplete();
             if (shedChannel->hasSubscribers())
@@ -263,7 +273,7 @@ TenantArbiter::shedExpired(Cycle now)
         // runs admission before deadline shed).
         if (sources[local].config().mode != ArrivalMode::OpenLoop)
             nextStepWork.push_back(local);
-        if (q.empty())
+        if (queues.empty(g))
             queueBecameEmpty(local);
         else
             newHead(local);
@@ -292,7 +302,7 @@ TenantArbiter::fifoBest(Cycle &arrival, unsigned &local)
 {
     while (!headHeap.empty()) {
         const auto [a, l] = headHeap.top();
-        if (!queues[l].empty() && queues[l].front().arrival == a) {
+        if (!staleHead(l, a)) {
             arrival = a;
             local = l;
             return true;
@@ -307,7 +317,7 @@ TenantArbiter::prioBest(unsigned &prio, Cycle &arrival, unsigned &local)
 {
     while (!prioHeap.empty()) {
         const auto [p, a, l] = prioHeap.top();
-        if (!queues[l].empty() && queues[l].front().arrival == a) {
+        if (!staleHead(l, a)) {
             prio = p;
             arrival = a;
             local = l;
@@ -340,10 +350,10 @@ TenantArbiter::rrFirst(unsigned &local) const
 void
 TenantArbiter::popGranted(unsigned local, Cycle now)
 {
-    RingDeque<TrafficRequest> &q = queues[local];
-    stats.onSubmit(local, now - q.front().arrival);
-    q.popFront();
-    if (q.empty())
+    const unsigned g = globalBase + local;
+    stats.onSubmit(local, now - queues.front(g).arrival);
+    queues.popFront(g);
+    if (queues.empty(g))
         queueBecameEmpty(local);
     else
         newHead(local);
@@ -363,8 +373,7 @@ TenantArbiter::minExpiry()
 {
     while (!expiryHeap.empty()) {
         const auto [e, local] = expiryHeap.top();
-        const RingDeque<TrafficRequest> &q = queues[local];
-        if (!q.empty() && q.front().arrival + shedDeadline[local] + 1 == e)
+        if (!staleHead(local, e - shedDeadline[local] - 1))
             return e;
         expiryHeap.pop();
     }
@@ -378,7 +387,8 @@ TenantArbiter::minExpiry()
 FleetArbiter::FleetArbiter(const ArbiterConfig &config,
                            std::vector<TenantSeat> seats,
                            MessageBus &bus)
-    : cfg(config), grantChannel(&bus.channel<GrantEvent>())
+    : cfg(config), grantChannel(&bus.channel<GrantEvent>()),
+      queues(seatedStreams(seats))
 {
     tenants.reserve(seats.size());
     bases.reserve(seats.size());
@@ -389,7 +399,7 @@ FleetArbiter::FleetArbiter(const ArbiterConfig &config,
         const unsigned n = static_cast<unsigned>(seat.sources.size());
         tenants.push_back(std::make_unique<TenantArbiter>(
             t, base, cfg, std::move(seat.sources), *seat.stats, *this,
-            bus));
+            queues, bus));
         base += n;
     }
     totalStreams = base;
@@ -602,10 +612,11 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
     sys.drainCompletionsInto(drainedCompletions);
     for (Completion &c : drainedCompletions) {
         sys.recycleLine(std::move(c.data));
-        auto it = inFlight.find(c.tag);
-        if (it == inFlight.end())
+        const FleetInFlight *live = inFlight.find(c.tag);
+        if (!live)
             continue; // not ours (defensive; tags are arbiter-issued)
-        const FleetInFlight &f = it->second;
+        const FleetInFlight f = *live;
+        inFlight.erase(c.tag);
         tenants[f.tenant]->onComplete(f.local, now - f.submitted,
                                       now - f.arrival, f.words,
                                       f.isRead);
@@ -613,7 +624,6 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
                           bases[f.tenant] + f.local, "latency",
                           now - f.arrival);
         markPending(f.tenant);
-        inFlight.erase(it);
         changed = true;
     }
 
@@ -689,13 +699,10 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
             const TrafficRequest &req = ten.head(local);
             const std::vector<Word> *wd =
                 req.cmd.isRead ? nullptr : &req.writeData;
-            if (!sys.trySubmit(req.cmd, nextTag, wd))
+            if (!sys.trySubmit(req.cmd, inFlight.nextTag(), wd))
                 break; // transaction resources exhausted this cycle
-            inFlight.emplace(nextTag,
-                             FleetInFlight{t, local, req.arrival, now,
-                                           req.cmd.length,
-                                           req.cmd.isRead});
-            ++nextTag;
+            inFlight.push(FleetInFlight{t, local, req.arrival, now,
+                                        req.cmd.length, req.cmd.isRead});
             ++grantCount;
             if (grantChannel->hasSubscribers())
                 grantChannel->publish(

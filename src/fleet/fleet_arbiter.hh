@@ -11,9 +11,9 @@
  * scale (10^4-10^6 modeled streams). This file splits the same
  * arbitration semantics into two tiers:
  *
- *  - TenantArbiter: owns one tenant's streams, bounded queues, and
- *    ServiceStats. All per-step work is event-driven worklists plus
- *    lazy-deletion heaps (admission worklist, open-loop arrival heap,
+ *  - TenantArbiter: owns one tenant's streams and ServiceStats and
+ *    bounds their queues. All per-step work is event-driven worklists
+ *    plus lazy-deletion heaps (admission worklist, open-loop arrival heap,
  *    head/priority heaps for grant candidates, deadline-expiry heap),
  *    so a quiescent stream costs nothing and every mutation is
  *    O(log n_tenant).
@@ -21,6 +21,12 @@
  *    completions, admission, deadline shed, grant, occupancy sample)
  *    across tenants and picks grants globally through root-level
  *    lazy heaps over per-tenant candidates, O(log) per grant.
+ *
+ * The requests themselves wait in the FleetArbiter's RequestQueues
+ * (fleet/request_queues.hh): one slot pool per shard, recycled in
+ * place, plus 12 bytes of FIFO indices per stream. Host memory thus
+ * follows the requests queued at once, not the stream count, and the
+ * in-flight grants sit in a tag-indexed ring with no node per grant.
  *
  * A tenant tells its root about state changes by direct calls: its
  * grant candidate may have changed (markDirty), its queues crossed
@@ -50,12 +56,12 @@
 #include <queue>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/memory_system.hh"
 #include "fleet/message_bus.hh"
+#include "fleet/request_queues.hh"
 #include "sim/pool.hh"
 #include "traffic/arbiter.hh"
 #include "traffic/service_stats.hh"
@@ -75,9 +81,10 @@ struct TenantSeat
 };
 
 /**
- * One tenant's arbitration state: bounded queues plus the event-driven
- * index structures the root tier picks grants from. Constructed and
- * driven only by FleetArbiter.
+ * One tenant's arbitration state: queue bounds plus the event-driven
+ * index structures the root tier picks grants from. Its streams' queues
+ * are global ids base() + local in the root's RequestQueues.
+ * Constructed and driven only by FleetArbiter.
  */
 class TenantArbiter
 {
@@ -86,7 +93,7 @@ class TenantArbiter
                   const ArbiterConfig &config,
                   std::vector<StreamSource> sources_,
                   ServiceStats &stats_, FleetArbiter &root_,
-                  MessageBus &bus);
+                  RequestQueues &queues_, MessageBus &bus);
 
     unsigned index() const { return tenantIndex; }
     unsigned base() const { return globalBase; }
@@ -127,7 +134,7 @@ class TenantArbiter
 
     const TrafficRequest &head(unsigned local) const
     {
-        return queues[local].front();
+        return queues.front(globalBase + local);
     }
     /** Pop the granted head of @p local (records onSubmit). */
     void popGranted(unsigned local, Cycle now);
@@ -156,6 +163,13 @@ class TenantArbiter
     void pushArrivalEntry(Cycle arrival, unsigned local);
     void addDeferred(unsigned local);
     void removeDeferred(unsigned local);
+    /** Is @p local's queue empty, or its head's arrival not @p a? A
+     *  lazy heap entry keyed on @p a is then stale. */
+    bool staleHead(unsigned local, Cycle a) const
+    {
+        const unsigned g = globalBase + local;
+        return queues.empty(g) || queues.front(g).arrival != a;
+    }
 
     unsigned tenantIndex;
     unsigned globalBase;
@@ -163,16 +177,12 @@ class TenantArbiter
     std::vector<StreamSource> sources;
     ServiceStats &stats;
     FleetArbiter &root;
+    RequestQueues &queues; ///< The root's; this tenant's ids from base()
     Channel<ShedEvent> *shedChannel; ///< Looked up once, at construction
 
     /** Precomputed per-stream shed thresholds (traffic/arbiter.cc). */
     std::vector<Cycle> shedDeadline;
     std::vector<std::size_t> shedDepth;
-
-    /** Per-stream request queues. RingDeque holds no heap memory
-     *  until its first push (an empty std::deque holds ~544 bytes),
-     *  which matters at 10^5 streams. */
-    std::vector<RingDeque<TrafficRequest>> queues;
 
     /** @name Admission worklists
      * A stream is processed at most once per step (admitStamp).
@@ -299,6 +309,9 @@ class FleetArbiter
 
     std::uint64_t grants() const { return grantCount; }
 
+    /** Every stream's queue, by global id (bases: tenant(t).base()). */
+    const RequestQueues &requestQueues() const { return queues; }
+
     /** @name Trace track handle (see sim/trace.hh; 0 = untraced) @{ */
     void setTraceTrack(std::uint32_t id) { traceTrackId = id; }
     std::uint32_t traceTrack() const { return traceTrackId; }
@@ -319,10 +332,12 @@ class FleetArbiter
         }
     }
     /** Tenant @p t's queues crossed empty <-> non-empty (round-robin
-     *  occupancy set). */
+     *  occupancy set, kept only under that policy). */
     void
     setTenantActive(unsigned t, bool non_empty)
     {
+        if (cfg.policy != ArbPolicy::RoundRobin)
+            return;
         if (non_empty)
             nonEmptyTenants.insert(t);
         else
@@ -358,13 +373,21 @@ class FleetArbiter
 
     ArbiterConfig cfg;
     Channel<GrantEvent> *grantChannel; ///< Looked up once, at construction
+    /** Every stream's queue, by global id (before tenants: they keep
+     *  a reference to it). */
+    RequestQueues queues;
+    /** Overload-shed requests are drawn here and dropped, so a shed
+     *  allocates nothing once this buffer is warm. */
+    TrafficRequest shedScratch;
     std::vector<std::unique_ptr<TenantArbiter>> tenants;
     std::vector<unsigned> bases; ///< bases[t] = first global id of t
     std::size_t totalStreams = 0;
 
-    std::unordered_map<std::uint64_t, FleetInFlight> inFlight;
+    /** Granted requests by tag. Tags are issued in order and complete
+     *  out of order, a few at a time (the system's transaction slots),
+     *  so a ring holds them with no node per grant. */
+    TagRing<FleetInFlight> inFlight;
     std::vector<Completion> drainedCompletions;
-    std::uint64_t nextTag = 0;
     std::uint64_t grantCount = 0;
     unsigned lastGrantedGid = 0;
 

@@ -180,9 +180,7 @@ runFleet(const FleetConfig &config)
             const TenantLayout &tl = layout[t];
             const TenantSpec &spec = config.tenants[tl.spec];
             std::vector<StreamSource> sources;
-            std::vector<std::string> names;
             sources.reserve(spec.streamsPerTenant);
-            names.reserve(spec.streamsPerTenant);
             for (unsigned k = 0; k < spec.streamsPerTenant; ++k) {
                 const std::uint64_t g = tl.firstStream + k;
                 sources.emplace_back(
@@ -190,10 +188,11 @@ runFleet(const FleetConfig &config)
                     spec.stream.seed + kRetrySeedStep * (g + 1),
                     spec.stream.pattern.regionBase +
                         g * spec.regionStrideWords);
-                names.push_back(sources.back().name());
             }
+            // The template names no stream, so the stats' default
+            // "s<k>" names are the streams' own.
             tenantStats.push_back(std::make_unique<ServiceStats>(
-                names, detail, tl.name));
+                std::size_t{spec.streamsPerTenant}, detail, tl.name));
             TenantSeat seat;
             seat.name = tl.name;
             seat.sources = std::move(sources);
@@ -235,8 +234,7 @@ runFleet(const FleetConfig &config)
         out.busGrants = busGrants;
         out.busSheds = busSheds;
         out.merged = std::make_unique<ServiceStats>(
-            std::vector<std::string>{},
-            ServiceStats::Detail::AggregateOnly, "fleet");
+            0, ServiceStats::Detail::AggregateOnly, "fleet");
         out.tenantResults.reserve(tenantStats.size());
         for (std::size_t j = 0; j < tenantStats.size(); ++j) {
             const ServiceStats &st = *tenantStats[j];
@@ -277,8 +275,7 @@ runFleet(const FleetConfig &config)
     r.tenants = totalTenants;
     r.streams = totalStreams;
     r.tenantResults.resize(totalTenants);
-    ServiceStats fleetStats(std::vector<std::string>{},
-                            ServiceStats::Detail::AggregateOnly,
+    ServiceStats fleetStats(0, ServiceStats::Detail::AggregateOnly,
                             "fleet");
     std::uint64_t occCycles = 0, occSum = 0;
     for (unsigned s = 0; s < shards; ++s) {

@@ -19,13 +19,18 @@
  * two from one slot and never shrinks; a workload's steady state
  * therefore touches the allocator only until its high-water mark is
  * reached, and an empty ring that was never pushed holds no heap
- * memory (the fleet keeps one per stream).
+ * memory.
+ *
+ * TagRing<T> is the keyed counterpart: values filed under tags that
+ * are issued in order and retired in any order, in a flat ring rather
+ * than a hash map's node per key.
  */
 
 #ifndef PVA_SIM_POOL_HH
 #define PVA_SIM_POOL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -134,6 +139,86 @@ class RingDeque
     std::vector<T> slots;
     std::size_t head = 0;
     std::size_t count = 0;
+};
+
+/**
+ * Values keyed by tags issued in order (0, 1, 2, ...) and retired in
+ * any order. The live tags lie in [oldest, next); slot tag & (size - 1)
+ * of a power-of-two array holds tag's value. Retiring the oldest tag
+ * advances past every retired tag behind it, so the array spans from
+ * the oldest live tag to the newest and grows (doubling, re-seating
+ * that span) only when a new tag would not fit. A steady state that
+ * keeps a bounded number of tags in flight therefore allocates
+ * nothing.
+ */
+template <typename T>
+class TagRing
+{
+  public:
+    /** The tag the next push() files its value under. */
+    std::uint64_t nextTag() const { return next; }
+    /** No tag is live. */
+    bool empty() const { return oldest == next; }
+    std::size_t capacity() const { return slots.size(); }
+
+    /** File @p value under nextTag(), then advance it. */
+    void
+    push(const T &value)
+    {
+        if (next - oldest == slots.size())
+            grow();
+        Slot &slot = slots[wrap(next)];
+        slot.value = value;
+        slot.live = true;
+        ++next;
+    }
+
+    /** The value of live tag @p tag, or nullptr if @p tag is not live
+     *  (never issued, or already retired). */
+    T *
+    find(std::uint64_t tag)
+    {
+        if (tag < oldest || tag >= next)
+            return nullptr;
+        Slot &slot = slots[wrap(tag)];
+        return slot.live ? &slot.value : nullptr;
+    }
+
+    /** Retire live tag @p tag (see find()). */
+    void
+    erase(std::uint64_t tag)
+    {
+        slots[wrap(tag)].live = false;
+        while (oldest < next && !slots[wrap(oldest)].live)
+            ++oldest;
+    }
+
+  private:
+    struct Slot
+    {
+        T value{};
+        bool live = false;
+    };
+
+    std::size_t
+    wrap(std::uint64_t tag) const
+    {
+        return static_cast<std::size_t>(tag) & (slots.size() - 1);
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> bigger(slots.empty() ? 8 : 2 * slots.size());
+        for (std::uint64_t tag = oldest; tag < next; ++tag)
+            bigger[static_cast<std::size_t>(tag) & (bigger.size() - 1)] =
+                slots[wrap(tag)];
+        slots.swap(bigger);
+    }
+
+    std::vector<Slot> slots;
+    std::uint64_t oldest = 0;
+    std::uint64_t next = 0;
 };
 
 } // namespace pva

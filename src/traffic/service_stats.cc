@@ -1,5 +1,7 @@
 #include "traffic/service_stats.hh"
 
+#include "sim/logging.hh"
+
 namespace pva
 {
 
@@ -20,7 +22,20 @@ summarize(const LogHistogram &h)
 
 ServiceStats::ServiceStats(const std::vector<std::string> &names,
                            Detail detail, const std::string &prefix)
-    : streamCount(names.size())
+    : ServiceStats(names.size(), detail, prefix, &names)
+{
+}
+
+ServiceStats::ServiceStats(std::size_t streams, Detail detail,
+                           const std::string &prefix)
+    : ServiceStats(streams, detail, prefix, nullptr)
+{
+}
+
+ServiceStats::ServiceStats(std::size_t streams, Detail detail,
+                           const std::string &prefix,
+                           const std::vector<std::string> *names)
+    : streamCount(streams)
 {
     // All traffic metrics live under the "traffic." namespace so the
     // tools' JSON envelope carries one predictable key shape (see
@@ -44,10 +59,12 @@ ServiceStats::ServiceStats(const std::vector<std::string> &names,
     };
 
     if (detail == Detail::PerStream) {
-        perStream.reserve(names.size());
-        for (const std::string &name : names) {
+        perStream.reserve(streams);
+        for (std::size_t k = 0; k < streams; ++k) {
             perStream.push_back(std::make_unique<StreamCounters>());
-            registerOne(prefix + "." + name, *perStream.back());
+            registerOne(prefix + "." +
+                            (names ? (*names)[k] : csprintf("s%zu", k)),
+                        *perStream.back());
         }
     }
     registerOne(prefix + ".agg", aggregate);

@@ -75,6 +75,14 @@ class ServiceStats
                           Detail detail = Detail::PerStream,
                           const std::string &prefix = "traffic");
 
+    /**
+     * @p streams streams with StreamSource's default names ("s<k>"),
+     * which only Detail::PerStream registers. Under AggregateOnly no
+     * name is built at all, as a fleet of 10^5+ streams wants.
+     */
+    ServiceStats(std::size_t streams, Detail detail,
+                 const std::string &prefix);
+
     /** @name Event hooks (called by the arbiters) @{ */
     void onArrival(unsigned stream);
     void onDeferred(unsigned stream);       ///< Backpressure: queue full
@@ -161,6 +169,11 @@ class ServiceStats
     /** @} */
 
   private:
+    /** Both public constructors: @p names, or "s<k>" when null. */
+    ServiceStats(std::size_t streams, Detail detail,
+                 const std::string &prefix,
+                 const std::vector<std::string> *names);
+
     struct StreamCounters
     {
         Scalar arrivals;

@@ -213,17 +213,25 @@ StreamSource::arrivalReady(Cycle now) const
 TrafficRequest
 StreamSource::emit(Cycle now)
 {
-    return tmpl->config.mode == ArrivalMode::Trace
-        ? makeTraceRequest(now)
-        : makePatternRequest(now);
+    TrafficRequest req;
+    emitInto(req, now);
+    return req;
 }
 
-TrafficRequest
-StreamSource::makePatternRequest(Cycle now)
+void
+StreamSource::emitInto(TrafficRequest &req, Cycle now)
+{
+    if (tmpl->config.mode == ArrivalMode::Trace)
+        makeTraceRequest(req, now);
+    else
+        makePatternRequest(req, now);
+}
+
+void
+StreamSource::makePatternRequest(TrafficRequest &req, Cycle now)
 {
     const StreamConfig &cfg = tmpl->config;
     const PatternConfig &p = cfg.pattern;
-    TrafficRequest req;
     req.stream = streamId;
     req.seqNo = emittedCount;
 
@@ -237,11 +245,17 @@ StreamSource::makePatternRequest(Cycle now)
     WordAddr span = static_cast<WordAddr>(stride) * (length - 1) + 1;
     WordAddr base = region + patternRng.below(p.regionWords - span + 1);
 
+    // Every command field is set, so a reused request carries nothing
+    // over from its previous occupant but vector capacity.
     req.cmd.base = base;
     req.cmd.stride = stride;
     req.cmd.length = length;
     req.cmd.isRead = is_read;
+    req.cmd.txn = 0;
     req.cmd.mode = p.mode;
+    req.cmd.indices.clear();
+    req.cmd.revBits = 0;
+    req.cmd.revOffset = 0;
     if (p.mode == VectorCommand::Mode::Indirect) {
         req.cmd.base = region;
         req.cmd.stride = 1;
@@ -249,6 +263,7 @@ StreamSource::makePatternRequest(Cycle now)
         for (std::uint32_t i = 0; i < length; ++i)
             req.cmd.indices[i] = patternRng.below(p.regionWords);
     }
+    req.writeData.clear();
     if (!is_read) {
         req.writeData.resize(length);
         for (std::uint32_t i = 0; i < length; ++i)
@@ -267,22 +282,21 @@ StreamSource::makePatternRequest(Cycle now)
         ++outstanding;
     }
     ++emittedCount;
-    return req;
 }
 
-TrafficRequest
-StreamSource::makeTraceRequest(Cycle now)
+void
+StreamSource::makeTraceRequest(TrafficRequest &req, Cycle now)
 {
     const std::vector<TraceOp> &ops = tmpl->trace.ops;
     while (ops[traceNext].kind == TraceOp::Kind::Barrier)
         ++traceNext; // traceHeadReady() guaranteed outstanding == 0
     const TraceOp &op = ops[traceNext++];
 
-    TrafficRequest req;
     req.stream = streamId;
     req.seqNo = emittedCount;
     req.arrival = now;
     req.cmd = op.cmd;
+    req.writeData.clear();
     if (op.kind == TraceOp::Kind::Write) {
         req.writeData.resize(op.cmd.length);
         for (std::uint32_t i = 0; i < op.cmd.length; ++i)
@@ -290,7 +304,6 @@ StreamSource::makeTraceRequest(Cycle now)
     }
     ++outstanding;
     ++emittedCount;
-    return req;
 }
 
 void

@@ -162,6 +162,13 @@ class StreamSource
     /** Pop the next request (call only when arrivalReady()). */
     TrafficRequest emit(Cycle now);
 
+    /**
+     * emit() into @p req, overwriting every field. Reusing one request
+     * (a pooled queue slot, a scratch buffer) keeps the capacity of its
+     * index list and write data, so a warm caller allocates nothing.
+     */
+    void emitInto(TrafficRequest &req, Cycle now);
+
     /** A request of this stream completed (releases a window slot). */
     void onComplete();
 
@@ -181,8 +188,8 @@ class StreamSource
     void applyPokes(SparseMemory &mem) const;
 
   private:
-    TrafficRequest makePatternRequest(Cycle now);
-    TrafficRequest makeTraceRequest(Cycle now);
+    void makePatternRequest(TrafficRequest &req, Cycle now);
+    void makeTraceRequest(TrafficRequest &req, Cycle now);
     /** Advance past satisfied barriers; the next emittable trace op
      *  (if any) ends up at traceNext. */
     bool traceHeadReady() const;

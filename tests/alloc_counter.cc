@@ -8,6 +8,15 @@ namespace
 {
 
 std::atomic<std::uint64_t> allocCount{0};
+std::atomic<std::uint64_t> freeCount{0};
+
+void
+countedFree(void *p) noexcept
+{
+    if (p)
+        freeCount.fetch_add(1, std::memory_order_relaxed);
+    std::free(p);
+}
 
 } // anonymous namespace
 
@@ -15,6 +24,12 @@ std::uint64_t
 pva::test::allocations()
 {
     return allocCount.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+pva::test::deallocations()
+{
+    return freeCount.load(std::memory_order_relaxed);
 }
 
 void *
@@ -35,7 +50,7 @@ operator new[](std::size_t n)
     throw std::bad_alloc();
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }

@@ -1,9 +1,10 @@
 /**
  * @file
- * A count of every global operator new in the test binary, for tests
- * that assert a code path does not heap-allocate. The replacement
- * operators live in alloc_counter.cc; every other test pays only one
- * relaxed increment per allocation.
+ * A count of every global operator new and delete in the test binary,
+ * for tests that assert a code path does not heap-allocate, or bound
+ * the blocks it leaves live. The replacement operators live in
+ * alloc_counter.cc; every other test pays only one relaxed increment
+ * per allocation and per free.
  */
 
 #ifndef PVA_TESTS_ALLOC_COUNTER_HH
@@ -16,6 +17,10 @@ namespace pva::test
 
 /** Global operator new / new[] calls so far. */
 std::uint64_t allocations();
+
+/** Global operator delete / delete[] calls on non-null pointers so
+ *  far: allocations() - deallocations() blocks are live. */
+std::uint64_t deallocations();
 
 } // namespace pva::test
 

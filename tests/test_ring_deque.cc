@@ -2,13 +2,19 @@
  * @file
  * RingDeque tests: growth from empty through 1, 2, 4 and 8 slots
  * across a wrap, eraseAt/popBack/clear, and slot reuse keeping the
- * heap capacity of an element's members.
+ * heap capacity of an element's members. TagRing tests: out-of-order
+ * retirement against a std::map, growth while an old tag stays live,
+ * and a steady state that never grows.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <iterator>
+#include <map>
 #include <vector>
+
+#include "sim/random.hh"
 
 #include "sim/pool.hh"
 
@@ -164,6 +170,88 @@ TEST(RingDeque, ReusedSlotKeepsItsCapacity)
     ASSERT_EQ(q.size(), 1u);
     EXPECT_EQ(q.front(), std::vector<int>(3, 2));
     EXPECT_EQ(q.pushBack().data(), storage);
+}
+
+TEST(TagRing, RetiresOutOfOrderLikeAMap)
+{
+    TagRing<std::uint64_t> ring;
+    std::map<std::uint64_t, std::uint64_t> ref; // live tag -> value
+    Random rng(5);
+    for (int i = 0; i < 20000; ++i) {
+        if (ref.size() < 12 && (ref.empty() || rng.below(2) == 0)) {
+            const std::uint64_t tag = ring.nextTag();
+            ring.push(tag * 3 + 1);
+            ref[tag] = tag * 3 + 1;
+        } else {
+            // Retire a random live tag, not necessarily the oldest.
+            auto it = ref.begin();
+            std::advance(it, rng.below(ref.size()));
+            ASSERT_NE(ring.find(it->first), nullptr);
+            EXPECT_EQ(*ring.find(it->first), it->second);
+            ring.erase(it->first);
+            EXPECT_EQ(ring.find(it->first), nullptr);
+            ref.erase(it);
+        }
+        EXPECT_EQ(ring.empty(), ref.empty());
+    }
+    for (const auto &[tag, value] : ref) {
+        ASSERT_NE(ring.find(tag), nullptr);
+        EXPECT_EQ(*ring.find(tag), value);
+    }
+    EXPECT_EQ(ring.find(ring.nextTag()), nullptr); // not yet issued
+}
+
+TEST(TagRing, GrowsAroundALongLivedTagAndKeepsEveryValue)
+{
+    TagRing<int> ring;
+    ring.push(-1); // tag 0 stays live throughout
+    // Tags 1..99 retire right away, but the span from tag 0 to the
+    // newest tag keeps growing, so the ring re-seats it 8 -> 128.
+    for (int i = 1; i < 100; ++i) {
+        ring.push(i);
+        if (i % 2 == 1)
+            ring.erase(static_cast<std::uint64_t>(i));
+    }
+    EXPECT_EQ(ring.capacity(), 128u);
+    ASSERT_NE(ring.find(0), nullptr);
+    EXPECT_EQ(*ring.find(0), -1);
+    for (int i = 1; i < 100; ++i) {
+        int *v = ring.find(static_cast<std::uint64_t>(i));
+        if (i % 2 == 1) {
+            EXPECT_EQ(v, nullptr) << i;
+        } else {
+            ASSERT_NE(v, nullptr) << i;
+            EXPECT_EQ(*v, i);
+        }
+    }
+    // Retiring tag 0 skips every retired tag behind it.
+    ring.erase(0);
+    EXPECT_EQ(ring.find(0), nullptr);
+    for (std::uint64_t t = 2; t < 100; t += 2)
+        ring.erase(t);
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(TagRing, SteadyStateNeverGrows)
+{
+    // At most four tags in flight, retired in rotating order: the
+    // ring stops growing once it covers the widest span they reach.
+    TagRing<int> ring;
+    std::deque<std::uint64_t> live;
+    std::size_t warm = 0;
+    for (int i = 0; i < 10000; ++i) {
+        if (i == 100)
+            warm = ring.capacity();
+        live.push_back(ring.nextTag());
+        ring.push(i);
+        if (live.size() == 4) {
+            const std::size_t k = static_cast<std::size_t>(i) % 4;
+            ring.erase(live[k]);
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        }
+    }
+    EXPECT_LE(warm, 16u);
+    EXPECT_EQ(ring.capacity(), warm);
 }
 
 } // anonymous namespace

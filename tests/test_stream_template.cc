@@ -4,7 +4,8 @@
  * StreamTemplate must behave exactly like streams built from their own
  * StreamConfig copies, streams built from same-shaped configs share
  * one, and a template validates and parses its trace once, however
- * many streams share it.
+ * many streams share it. emitInto, which fills a reused request in
+ * place, must emit what emit does.
  */
 
 #include <cstdio>
@@ -97,6 +98,50 @@ patternConfig(ArrivalMode mode)
 }
 
 } // anonymous namespace
+
+TEST(StreamTemplate, EmitIntoAReusedRequestMatchesEmit)
+{
+    StreamConfig indirect = patternConfig(ArrivalMode::ClosedLoop);
+    indirect.pattern.mode = VectorCommand::Mode::Indirect;
+    StreamConfig trace;
+    trace.mode = ArrivalMode::Trace;
+    trace.window = 2;
+    trace.tracePath = writeTrace("template_emit_into.trace");
+
+    // One request is reused for every stream, as a pooled queue slot
+    // is: each emitInto lands on the index list and write data the
+    // last one left, and on a stale transaction id and bit-reversal
+    // fields, which it must all overwrite.
+    TrafficRequest reused;
+    for (const StreamConfig &c :
+         {indirect, patternConfig(ArrivalMode::ClosedLoop),
+          patternConfig(ArrivalMode::OpenLoop), trace}) {
+        SCOPED_TRACE(static_cast<int>(c.mode));
+        StreamSource byValue(c, 2, kLineWords);
+        StreamSource inPlace(c, 2, kLineWords);
+        const std::vector<Emitted> want = drain(byValue);
+        std::vector<Emitted> got;
+        for (Cycle now = 0; !inPlace.exhausted() && now < 1000000;
+             ++now) {
+            while (inPlace.arrivalReady(now)) {
+                reused.cmd.txn = 7;
+                reused.cmd.revBits = 3;
+                reused.cmd.revOffset = 9;
+                inPlace.emitInto(reused, now);
+                EXPECT_EQ(reused.stream, 2u);
+                EXPECT_EQ(reused.cmd.txn, 0u);
+                EXPECT_EQ(reused.cmd.revBits, 0u);
+                EXPECT_EQ(reused.cmd.revOffset, 0u);
+                const VectorCommand &cmd = reused.cmd;
+                got.push_back({reused.seqNo, reused.arrival, cmd.base,
+                               cmd.stride, cmd.length, cmd.isRead,
+                               cmd.mode, cmd.indices, reused.writeData});
+                inPlace.onComplete();
+            }
+        }
+        EXPECT_EQ(got, want);
+    }
+}
 
 TEST(StreamTemplate, SharedTemplateMatchesPerStreamCopies)
 {

@@ -105,6 +105,30 @@ TEST(TrafficStream, CommandSequenceIsIndependentOfOfferedLoad)
     EXPECT_EQ(commands(slow), commands(fast));
 }
 
+TEST(ServiceStatsNames, CountConstructorNamesStreamsLikeTheirSources)
+{
+    // A stream with no configured name is "s<id>", so stats built from
+    // a stream count register what the names constructor would.
+    std::vector<std::string> names;
+    for (unsigned k = 0; k < 3; ++k)
+        names.push_back(StreamSource(StreamConfig{}, k, 32).name());
+    for (ServiceStats::Detail d : {ServiceStats::Detail::PerStream,
+                                   ServiceStats::Detail::AggregateOnly}) {
+        ServiceStats byName(names, d, "tenant");
+        ServiceStats byCount(names.size(), d, "tenant");
+        std::ostringstream a, b;
+        byName.set().dump(a);
+        byCount.set().dump(b);
+        EXPECT_EQ(a.str(), b.str());
+        EXPECT_EQ(b.str().find("tenant.s2.arrivals") != std::string::npos,
+                  d == ServiceStats::Detail::PerStream);
+        EXPECT_NE(b.str().find("tenant.agg.arrivals"), std::string::npos);
+        EXPECT_EQ(byCount.streams(), 3u);
+        EXPECT_EQ(byCount.perStreamDetail(),
+                  d == ServiceStats::Detail::PerStream);
+    }
+}
+
 TEST(TrafficStream, RejectsUnsupportableConfigs)
 {
     StreamConfig cfg;
