@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstdint>
 #include <initializer_list>
-#include <ostream>
 #include <type_traits>
 
 #include "sim/json.hh"
@@ -263,15 +262,13 @@ expectedValue(const ConfigField &field)
 }
 
 void
-writeConfigJson(std::ostream &os, const SystemConfig &config,
-                const char *separator)
+writeConfigJson(json::Writer &w, const SystemConfig &config)
 {
-    const char *sep = "";
     for (const ConfigField &f : configFields()) {
-        const char *quote = f.type == ConfigField::Type::Enum ? "\"" : "";
-        os << sep << '"' << f.name << "\": " << quote << f.get(config)
-           << quote;
-        sep = separator;
+        if (f.type == ConfigField::Type::Enum)
+            w.member(f.name, f.get(config));
+        else
+            w.key(f.name).raw(f.get(config));
     }
 }
 

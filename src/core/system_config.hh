@@ -157,9 +157,9 @@ const ConfigField *findConfigField(const std::string &name);
 /** What a field's value must look like, for diagnostics. */
 std::string expectedValue(const ConfigField &field);
 
-/** Write every field as "name": value, separated by @p separator. */
-void writeConfigJson(std::ostream &os, const SystemConfig &config,
-                     const char *separator);
+/** Write every field as a member "name": value of @p w's open
+ *  object: enums as strings, the rest as their canonical text. */
+void writeConfigJson(json::Writer &w, const SystemConfig &config);
 
 /** "name=value;" over every field: the journal fingerprint's input. */
 std::string canonicalConfigText(const SystemConfig &config);

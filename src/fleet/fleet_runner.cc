@@ -21,16 +21,6 @@ namespace
 /** Fault-seed advance per retry attempt (matches SweepExecutor). */
 constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
 
-void
-jsonSummary(std::ostream &os, const char *key, const LatencySummary &s)
-{
-    os << '"' << key << "\": {\"samples\": " << s.samples
-       << ", \"min\": " << s.min << ", \"max\": " << s.max
-       << ", \"mean\": " << s.mean << ", \"p50\": " << s.p50
-       << ", \"p95\": " << s.p95 << ", \"p99\": " << s.p99
-       << ", \"p999\": " << s.p999 << "}";
-}
-
 /** Where tenant @p t's spec and global stream range live. */
 struct TenantLayout
 {
@@ -57,45 +47,35 @@ struct ShardOutcome
 } // anonymous namespace
 
 void
-FleetResult::dumpJson(std::ostream &os) const
+FleetResult::dumpJson(json::Writer &w) const
 {
-    os << "{\"cycles\": " << cycles << ", \"shards\": " << shards
-       << ", \"tenants\": " << tenants << ", \"streams\": " << streams
-       << ", \"completed\": " << completed << ", \"words\": " << words
-       << ", \"grants\": " << grants << ", \"shed\": " << shed
-       << ", \"shedRate\": " << shedRate
-       << ", \"requestsPerKilocycle\": " << requestsPerKilocycle
-       << ", \"wordsPerCycle\": " << wordsPerCycle
-       << ", \"meanInFlight\": " << meanInFlight
-       << ", \"simTicks\": " << simTicks
-       << ", \"cyclesSkipped\": " << cyclesSkipped
-       << ", \"busGrants\": " << busGrants
-       << ", \"busSheds\": " << busSheds << ", ";
-    jsonSummary(os, "queueDelay", queueDelay);
-    os << ", ";
-    jsonSummary(os, "serviceLatency", serviceLatency);
-    os << ", ";
-    jsonSummary(os, "totalLatency", totalLatency);
-    os << ", \"tenantResults\": [";
-    for (std::size_t i = 0; i < tenantResults.size(); ++i) {
-        const TenantResult &t = tenantResults[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << t.name
-           << "\", \"shard\": " << t.shard
-           << ", \"arrivals\": " << t.arrivals
-           << ", \"completed\": " << t.completed
-           << ", \"deferrals\": " << t.deferrals
-           << ", \"shedDeadline\": " << t.shedDeadline
-           << ", \"shedOverload\": " << t.shedOverload
-           << ", \"queuePeak\": " << t.queuePeak
-           << ", \"words\": " << t.words << ", ";
-        jsonSummary(os, "queueDelay", t.queueDelay);
-        os << ", ";
-        jsonSummary(os, "serviceLatency", t.serviceLatency);
-        os << ", ";
-        jsonSummary(os, "totalLatency", t.totalLatency);
-        os << "}";
+    w.beginObject().member("cycles", cycles).member("shards", shards);
+    w.member("tenants", tenants).member("streams", streams);
+    w.member("completed", completed).member("words", words);
+    w.member("grants", grants).member("shed", shed);
+    w.member("shedRate", shedRate);
+    w.member("requestsPerKilocycle", requestsPerKilocycle);
+    w.member("wordsPerCycle", wordsPerCycle);
+    w.member("meanInFlight", meanInFlight);
+    w.member("simTicks", simTicks).member("cyclesSkipped", cyclesSkipped);
+    w.member("busGrants", busGrants).member("busSheds", busSheds);
+    writeLatencyJson(w, "queueDelay", queueDelay);
+    writeLatencyJson(w, "serviceLatency", serviceLatency);
+    writeLatencyJson(w, "totalLatency", totalLatency);
+    w.key("tenantResults").beginArray();
+    for (const TenantResult &t : tenantResults) {
+        w.beginObject().member("name", t.name).member("shard", t.shard);
+        w.member("arrivals", t.arrivals).member("completed", t.completed);
+        w.member("deferrals", t.deferrals);
+        w.member("shedDeadline", t.shedDeadline);
+        w.member("shedOverload", t.shedOverload);
+        w.member("queuePeak", t.queuePeak).member("words", t.words);
+        writeLatencyJson(w, "queueDelay", t.queueDelay);
+        writeLatencyJson(w, "serviceLatency", t.serviceLatency);
+        writeLatencyJson(w, "totalLatency", t.totalLatency);
+        w.endObject();
     }
-    os << "]}";
+    w.endArray().endObject();
 }
 
 FleetResult

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "kernels/sweep.hh"
+#include "sim/json.hh"
 #include "traffic/arbiter.hh"
 #include "traffic/service_stats.hh"
 #include "traffic/stream.hh"
@@ -112,7 +113,8 @@ struct FleetResult
     std::vector<TenantResult> tenantResults; ///< Global tenant order
 
     /** Deterministic single-line JSON dump (no trailing newline). */
-    void dumpJson(std::ostream &os) const;
+    void dumpJson(json::Writer &w) const;
+    void dumpJson(std::ostream &os) const { json::Writer w(os); dumpJson(w); }
 };
 
 /**

@@ -315,11 +315,10 @@ void
 writeScenarioResult(std::ostream &os, const Scenario &scenario,
                     const FleetResult &result)
 {
-    os << "{\"schemaVersion\": 1, \"tool\": \"pva_loadgen\", "
-          "\"scenario\": \""
-       << json::escape(scenario.name) << "\", \"fleet\": ";
-    result.dumpJson(os);
-    os << "}\n";
+    json::Writer w(os);
+    w.beginObject().member("schemaVersion", 1).member("tool", "pva_loadgen");
+    result.dumpJson(w.member("scenario", scenario.name).key("fleet"));
+    w.endObject().endLine();
 }
 
 } // namespace pva::fleet

@@ -76,29 +76,22 @@ struct Extract
 void
 writeCapsule(std::ostream &os, const ReproCapsule &capsule)
 {
+    const auto block = json::Writer::Layout::Block;
     const SweepRequest &req = capsule.request;
-    os << "{\n"
-       << "  \"schemaVersion\": " << ReproCapsule::kSchemaVersion
-       << ",\n"
-       << "  \"kind\": \"" << ReproCapsule::kKind << "\",\n"
-       << "  \"fingerprint\": \""
-       << csprintf("%016llx", static_cast<unsigned long long>(
-                                  capsule.fingerprint))
-       << "\",\n"
-       << "  \"attempts\": " << capsule.attempts << ",\n"
-       << "  \"error\": \"" << json::escape(capsule.error) << "\",\n"
-       << "  \"request\": {\n"
-       << "    \"system\": \"" << systemShortName(req.system)
-       << "\",\n"
-       << "    \"kernel\": \"" << kernelSpec(req.kernel).name
-       << "\",\n"
-       << "    \"stride\": " << req.stride << ",\n"
-       << "    \"alignment\": " << req.alignment << ",\n"
-       << "    \"elements\": " << req.elements << ",\n"
-       << "    \"maxCycles\": " << req.limits.maxCycles << ",\n"
-       << "    \"config\": {\n      ";
-    writeConfigJson(os, req.config, ",\n      ");
-    os << "\n    }\n  }\n}\n";
+    json::Writer w(os);
+    w.beginObject(block).member("schemaVersion", ReproCapsule::kSchemaVersion);
+    w.member("kind", ReproCapsule::kKind);
+    w.member("fingerprint", fingerprintText(capsule.fingerprint));
+    w.member("attempts", capsule.attempts).member("error", capsule.error);
+    w.key("request").beginObject(block);
+    w.member("system", systemShortName(req.system));
+    w.member("kernel", kernelSpec(req.kernel).name);
+    w.member("stride", req.stride).member("alignment", req.alignment);
+    w.member("elements", req.elements);
+    w.member("maxCycles", req.limits.maxCycles);
+    w.key("config").beginObject(block);
+    writeConfigJson(w, req.config);
+    w.endObject().endObject().endObject().endLine();
 }
 
 void
@@ -173,8 +166,7 @@ loadCapsule(const std::string &path)
     // Self-check: the stored fingerprint must describe what was
     // loaded, or the capsule would replay something else silently.
     capsule.fingerprint = fingerprintRequest(r);
-    const std::string recomputed = csprintf(
-        "%016llx", static_cast<unsigned long long>(capsule.fingerprint));
+    const std::string recomputed = fingerprintText(capsule.fingerprint);
     if (stored != recomputed) {
         throw SimError(SimErrorKind::Corruption, "capsule", kNeverCycle,
                        csprintf("%s: stored fingerprint %s does not match "

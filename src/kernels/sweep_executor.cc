@@ -46,38 +46,30 @@ ensureDirectory(const std::string &path)
 } // anonymous namespace
 
 void
-SweepReport::dumpJson(std::ostream &os) const
+SweepReport::dumpJson(json::Writer &w) const
 {
-    os << "{\n"
-       << "  \"points\": " << points.size() << ",\n"
-       << "  \"ok\": " << ok << ",\n"
-       << "  \"retried\": " << retried << ",\n"
-       << "  \"failed\": " << failed << ",\n"
-       << "  \"simTicks\": " << simTicks << ",\n"
-       << "  \"cyclesSkipped\": " << cyclesSkipped << ",\n"
-       << "  \"failures\": [";
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        const PointFailure &f = failures[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"index\": " << f.index
-           << ", \"system\": \"" << systemShortName(f.system)
-           << "\", \"kernel\": \"" << kernelSpec(f.kernel).name
-           << "\", \"stride\": " << f.stride
-           << ", \"alignment\": " << f.alignment
-           << ", \"attempts\": " << f.attempts << ", \"error\": \""
-           << json::escape(f.error) << "\"}";
+    const auto block = json::Writer::Layout::Block;
+    w.beginObject(block).member("points", points.size()).member("ok", ok);
+    w.member("retried", retried).member("failed", failed);
+    w.member("simTicks", simTicks).member("cyclesSkipped", cyclesSkipped);
+    w.key("failures").beginArray(block);
+    for (const PointFailure &f : failures) {
+        w.beginObject().member("index", f.index);
+        w.member("system", systemShortName(f.system));
+        w.member("kernel", kernelSpec(f.kernel).name);
+        w.member("stride", f.stride).member("alignment", f.alignment);
+        w.member("attempts", f.attempts).member("error", f.error);
+        w.endObject();
     }
-    os << (failures.empty() ? "],\n" : "\n  ],\n") << "  \"quarantine\": [";
-    for (std::size_t i = 0; i < quarantine.size(); ++i) {
-        const QuarantineRecord &q = quarantine[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"index\": " << q.index
-           << ", \"attempts\": " << q.attempts << ", \"fingerprint\": \""
-           << csprintf("%016llx",
-                       static_cast<unsigned long long>(q.fingerprint))
-           << "\", \"faultSeed\": " << q.faultSeed << ", \"capsule\": \""
-           << json::escape(q.capsulePath) << "\", \"error\": \""
-           << json::escape(q.error) << "\"}";
+    w.endArray().key("quarantine").beginArray(block);
+    for (const QuarantineRecord &q : quarantine) {
+        w.beginObject().member("index", q.index);
+        w.member("attempts", q.attempts);
+        w.member("fingerprint", fingerprintText(q.fingerprint));
+        w.member("faultSeed", q.faultSeed).member("capsule", q.capsulePath);
+        w.member("error", q.error).endObject();
     }
-    os << (quarantine.empty() ? "]\n" : "\n  ]\n") << "}\n";
+    w.endArray().endObject().endLine();
 }
 
 SweepExecutor::SweepExecutor(unsigned jobs) : workerCount(jobs)

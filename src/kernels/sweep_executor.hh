@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "kernels/sweep.hh"
+#include "sim/json.hh"
 #include "sim/stats.hh"
 
 namespace pva
@@ -134,8 +135,10 @@ struct SweepReport
 
     bool allOk() const { return failed == 0; }
 
-    /** Machine-readable summary (see docs/ROBUSTNESS.md). */
-    void dumpJson(std::ostream &os) const;
+    /** Machine-readable summary (see docs/ROBUSTNESS.md), followed
+     *  by a line break. */
+    void dumpJson(json::Writer &w) const;
+    void dumpJson(std::ostream &os) const { json::Writer w(os); dumpJson(w); }
 };
 
 /** Durability knobs of one runReport() call (docs/ROBUSTNESS.md). */

@@ -78,30 +78,32 @@ journalError(const std::string &path, SimErrorKind kind,
 std::string
 headerLine(std::uint64_t fingerprint, std::size_t points)
 {
-    return csprintf("{\"schemaVersion\": %d, \"kind\": \"%s\", "
-                    "\"fingerprint\": \"%016llx\", \"points\": %zu}\n",
-                    SweepJournal::kSchemaVersion, SweepJournal::kKind,
-                    static_cast<unsigned long long>(fingerprint),
-                    points);
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject().member("schemaVersion", SweepJournal::kSchemaVersion);
+    w.member("kind", SweepJournal::kKind);
+    w.member("fingerprint", fingerprintText(fingerprint));
+    w.member("points", points).endObject().endLine();
+    return os.str();
 }
 
 std::string
 recordLine(const JournalRecord &record)
 {
     const SweepPoint &p = record.point;
-    return csprintf(
-        "{\"index\": %zu, \"system\": \"%s\", \"kernel\": \"%s\", "
-        "\"stride\": %u, \"alignment\": %u, \"cycles\": %llu, "
-        "\"mismatches\": %zu, \"simTicks\": %llu, "
-        "\"cyclesSkipped\": %llu, \"status\": \"%s\", "
-        "\"attempts\": %u, \"error\": \"%s\"}\n",
-        record.index, systemShortName(p.system),
-        kernelSpec(p.kernel).name.c_str(), p.stride, p.alignment,
-        static_cast<unsigned long long>(p.cycles), p.mismatches,
-        static_cast<unsigned long long>(p.simTicks),
-        static_cast<unsigned long long>(p.cyclesSkipped),
-        pointStatusName(p.status), p.attempts,
-        json::escape(record.error).c_str());
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject().member("index", record.index);
+    w.member("system", systemShortName(p.system));
+    w.member("kernel", kernelSpec(p.kernel).name);
+    w.member("stride", p.stride).member("alignment", p.alignment);
+    w.member("cycles", p.cycles).member("mismatches", p.mismatches);
+    w.member("simTicks", p.simTicks);
+    w.member("cyclesSkipped", p.cyclesSkipped);
+    w.member("status", pointStatusName(p.status));
+    w.member("attempts", p.attempts).member("error", record.error);
+    w.endObject().endLine();
+    return os.str();
 }
 
 /** Extract one journal record; returns false on any missing or
@@ -204,6 +206,12 @@ fingerprintGrid(const std::vector<SweepRequest> &grid)
     return hash;
 }
 
+std::string
+fingerprintText(std::uint64_t fingerprint)
+{
+    return csprintf("%016llx", static_cast<unsigned long long>(fingerprint));
+}
+
 SweepJournal::LoadResult
 SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
                    std::size_t points)
@@ -269,9 +277,7 @@ SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
                                       "'%s'",
                                       kind->string().c_str(), kKind));
             }
-            std::string want = csprintf(
-                "%016llx",
-                static_cast<unsigned long long>(fingerprint));
+            const std::string want = fingerprintText(fingerprint);
             if (fp->string() != want) {
                 journalError(
                     path, SimErrorKind::Config,

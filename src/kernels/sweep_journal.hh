@@ -40,6 +40,9 @@ namespace pva
 std::uint64_t fingerprintConfig(const SystemConfig &config);
 std::uint64_t fingerprintRequest(const SweepRequest &request);
 std::uint64_t fingerprintGrid(const std::vector<SweepRequest> &grid);
+/** The 16 hex digits a fingerprint is stored and compared as in the
+ *  journal, capsules and sweep reports. */
+std::string fingerprintText(std::uint64_t fingerprint);
 /** @} */
 
 /** One durably recorded point completion. */

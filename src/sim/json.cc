@@ -1,5 +1,6 @@
 #include "sim/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -348,7 +349,7 @@ parse(const std::string &input, Value &out, std::string &error)
 }
 
 std::string
-escape(const std::string &s)
+escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -382,6 +383,99 @@ escape(const std::string &s)
         }
     }
     return out;
+}
+
+Writer &
+Writer::key(std::string_view name)
+{
+    separate();
+    quote(name);
+    pending += ": ";
+    afterKey = true;
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    separate();
+    quote(s);
+    return flush();
+}
+
+Writer &
+Writer::raw(std::string_view text)
+{
+    separate();
+    pending += text;
+    return flush();
+}
+
+void
+Writer::separate()
+{
+    if (afterKey || open.empty()) {
+        afterKey = false;
+        return;
+    }
+    auto &[block, nonEmpty] = open.back();
+    if (nonEmpty)
+        pending += block ? "," : ", ";
+    if (block)
+        newLine();
+    nonEmpty = true;
+}
+
+void
+Writer::quote(std::string_view s)
+{
+    // Keys and most values need no escaping; skip the copy for them.
+    const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
+        return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+    });
+    pending += '"';
+    if (plain)
+        pending += s;
+    else
+        pending += escape(s);
+    pending += '"';
+}
+
+Writer &
+Writer::begin(char bracket, Layout layout)
+{
+    separate();
+    pending += bracket;
+    open.emplace_back(layout == Layout::Block, false);
+    return flush();
+}
+
+Writer &
+Writer::end(char bracket)
+{
+    const auto [block, nonEmpty] = open.back();
+    open.pop_back();
+    if (block && nonEmpty)
+        newLine();
+    pending += bracket;
+    return flush();
+}
+
+void
+Writer::newLine()
+{
+    const auto blocks = std::count_if(open.begin(), open.end(),
+                                      [](auto o) { return o.first; });
+    pending += '\n';
+    pending.append(step * blocks, ' ');
+}
+
+Writer &
+Writer::flush()
+{
+    os.write(pending.data(), static_cast<std::streamsize>(pending.size()));
+    pending.clear();
+    return *this;
 }
 
 } // namespace pva::json

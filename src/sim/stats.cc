@@ -375,50 +375,34 @@ StatSet::dumpCsv(std::ostream &os) const
 }
 
 void
-StatSet::dumpJson(std::ostream &os) const
+StatSet::dumpJson(json::Writer &w) const
 {
-    os << "{\"scalars\": {";
-    bool first = true;
-    for (const Entry *e : sorted(Kind::Scalar)) {
-        os << (first ? "" : ", ") << '"' << nameOf(*e) << "\": "
-           << static_cast<const Scalar *>(e->stat)->value();
-        first = false;
-    }
-    os << "}, \"distributions\": {";
-    first = true;
+    w.beginObject().key("scalars").beginObject();
+    for (const Entry *e : sorted(Kind::Scalar))
+        w.member(nameOf(*e), static_cast<const Scalar *>(e->stat)->value());
+    w.endObject().key("distributions").beginObject();
     for (const Entry *e : sorted(Kind::Distribution)) {
         const auto *stat = static_cast<const Distribution *>(e->stat);
-        os << (first ? "" : ", ") << '"' << nameOf(*e) << "\": {"
-           << "\"samples\": " << stat->samples()
-           << ", \"min\": " << stat->minValue()
-           << ", \"max\": " << stat->maxValue()
-           << ", \"mean\": " << stat->mean()
-           << ", \"bucketWidth\": " << stat->bucketWidth()
-           << ", \"buckets\": [";
-        bool first_bucket = true;
-        for (std::uint64_t b : stat->buckets()) {
-            os << (first_bucket ? "" : ", ") << b;
-            first_bucket = false;
-        }
-        os << "]}";
-        first = false;
+        w.key(nameOf(*e)).beginObject();
+        w.member("samples", stat->samples()).member("min", stat->minValue());
+        w.member("max", stat->maxValue()).member("mean", stat->mean());
+        w.member("bucketWidth", stat->bucketWidth());
+        w.key("buckets").beginArray();
+        for (std::uint64_t b : stat->buckets())
+            w.value(b);
+        w.endArray().endObject();
     }
-    os << "}, \"histograms\": {";
-    first = true;
+    w.endObject().key("histograms").beginObject();
     for (const Entry *e : sorted(Kind::Histogram)) {
         const auto *stat = static_cast<const LogHistogram *>(e->stat);
-        os << (first ? "" : ", ") << '"' << nameOf(*e) << "\": {"
-           << "\"samples\": " << stat->samples()
-           << ", \"min\": " << stat->minValue()
-           << ", \"max\": " << stat->maxValue()
-           << ", \"mean\": " << stat->mean()
-           << ", \"p50\": " << stat->p50()
-           << ", \"p95\": " << stat->p95()
-           << ", \"p99\": " << stat->p99()
-           << ", \"p999\": " << stat->p999() << "}";
-        first = false;
+        w.key(nameOf(*e)).beginObject();
+        w.member("samples", stat->samples()).member("min", stat->minValue());
+        w.member("max", stat->maxValue()).member("mean", stat->mean());
+        w.member("p50", stat->p50()).member("p95", stat->p95());
+        w.member("p99", stat->p99()).member("p999", stat->p999());
+        w.endObject();
     }
-    os << "}}\n";
+    w.endObject().endObject().endLine();
 }
 
 } // namespace pva

@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/json.hh"
+
 namespace pva
 {
 
@@ -238,9 +240,11 @@ class StatSet
      *  "histograms": {name: {"samples": n, "min": lo, "max": hi,
      *                        "mean": m, "p50": v, "p95": v, "p99": v,
      *                        "p999": v}, ...}}
-     * Keys are sorted by name, so the output is deterministic.
+     * Keys are sorted by name, so the output is deterministic. The
+     * object is followed by a line break.
      */
-    void dumpJson(std::ostream &os) const;
+    void dumpJson(json::Writer &w) const;
+    void dumpJson(std::ostream &os) const { json::Writer w(os); dumpJson(w); }
 
   private:
     enum class Kind : std::uint8_t { Scalar, Distribution, Histogram };

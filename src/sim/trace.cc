@@ -6,6 +6,8 @@
 #include <numeric>
 #include <ostream>
 
+#include "sim/json.hh"
+
 namespace pva::trace
 {
 
@@ -13,29 +15,6 @@ namespace
 {
 
 std::atomic<TraceSession *> currentSession{nullptr};
-
-/** Escape a registry string for JSON (names in events are literals). */
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' ';
-            else
-                os << c;
-        }
-    }
-    os << '"';
-}
 
 } // anonymous namespace
 
@@ -214,58 +193,49 @@ TraceSession::exportChromeJson(std::ostream &os) const
                          return buffer[a].ts < buffer[b].ts;
                      });
 
-    os << "{\n\"traceEvents\": [";
-    bool first = true;
-    auto sep = [&]() {
-        os << (first ? "\n" : ",\n");
-        first = false;
-    };
+    // Block layout with no indent: one event per line.
+    const auto block = json::Writer::Layout::Block;
+    json::Writer w(os, 0);
+    w.beginObject(block).key("traceEvents").beginArray(block);
 
     // Metadata: names for every process and enabled track.
-    for (std::size_t p = 0; p < processes.size(); ++p) {
-        sep();
-        os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-           << (p + 1) << ", \"tid\": 0, \"args\": {\"name\": ";
-        writeJsonString(os, processes[p]);
-        os << "}}";
-    }
-    for (std::size_t t = 0; t < tracks.size(); ++t) {
-        sep();
-        os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
-           << tracks[t].pid << ", \"tid\": " << (t + 1)
-           << ", \"args\": {\"name\": ";
-        writeJsonString(os, tracks[t].track);
-        os << "}}";
-    }
+    auto meta = [&w](const char *what, std::size_t pid, std::size_t tid,
+                     const std::string &name) {
+        w.beginObject().member("name", what).member("ph", "M");
+        w.member("pid", pid).member("tid", tid);
+        w.key("args").beginObject().member("name", name).endObject();
+        w.endObject();
+    };
+    for (std::size_t p = 0; p < processes.size(); ++p)
+        meta("process_name", p + 1, 0, processes[p]);
+    for (std::size_t t = 0; t < tracks.size(); ++t)
+        meta("thread_name", tracks[t].pid, t + 1, tracks[t].track);
 
     for (std::uint32_t idx : order) {
         const Event &e = buffer[idx];
         if (e.track == 0 || e.track > tracks.size())
             continue; // defensive: never emit an unmapped tid
-        const TrackMeta &meta = tracks[e.track - 1];
-        sep();
-        os << "{\"name\": \"" << (e.name ? e.name : "?")
-           << "\", \"ph\": \"" << static_cast<char>(e.phase)
-           << "\", \"ts\": " << e.ts << ", \"pid\": " << meta.pid
-           << ", \"tid\": " << e.track;
+        const char phase[] = {static_cast<char>(e.phase), '\0'};
+        w.beginObject().member("name", e.name ? e.name : "?");
+        w.member("ph", phase).member("ts", e.ts);
+        w.member("pid", tracks[e.track - 1].pid).member("tid", e.track);
         if (e.phase == Phase::Instant)
-            os << ", \"s\": \"t\"";
+            w.member("s", "t");
         if (e.key1 || e.key2) {
-            os << ", \"args\": {";
+            w.key("args").beginObject();
             if (e.key1)
-                os << "\"" << e.key1 << "\": " << e.val1;
+                w.member(e.key1, e.val1);
             if (e.key2)
-                os << (e.key1 ? ", " : "") << "\"" << e.key2
-                   << "\": " << e.val2;
-            os << "}";
+                w.member(e.key2, e.val2);
+            w.endObject();
         }
-        os << "}";
+        w.endObject();
     }
 
-    os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"pvaTrace\": "
-       << "{\"schemaVersion\": 1, \"recorded\": " << recorded()
-       << ", \"dropped\": " << dropped()
-       << ", \"tracks\": " << tracks.size() << "}\n}\n";
+    w.endArray().member("displayTimeUnit", "ms").key("pvaTrace");
+    w.beginObject().member("schemaVersion", 1).member("recorded", recorded());
+    w.member("dropped", dropped()).member("tracks", tracks.size());
+    w.endObject().endObject().endLine();
 }
 
 } // namespace pva::trace

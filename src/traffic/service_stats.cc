@@ -20,6 +20,16 @@ summarize(const LogHistogram &h)
     return s;
 }
 
+void
+writeLatencyJson(json::Writer &w, std::string_view name,
+                 const LatencySummary &s)
+{
+    w.key(name).beginObject().member("samples", s.samples);
+    w.member("min", s.min).member("max", s.max).member("mean", s.mean);
+    w.member("p50", s.p50).member("p95", s.p95).member("p99", s.p99);
+    w.member("p999", s.p999).endObject();
+}
+
 ServiceStats::ServiceStats(const std::vector<std::string> &names,
                            Detail detail, const std::string &prefix)
     : ServiceStats(names.size(), detail, prefix, &names)

@@ -24,8 +24,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -46,6 +48,10 @@ struct LatencySummary
 };
 
 LatencySummary summarize(const LogHistogram &h);
+
+/** Write @p s as the member @p name of @p w's open object. */
+void writeLatencyJson(json::Writer &w, std::string_view name,
+                      const LatencySummary &s);
 
 /** Per-stream and aggregate service accounting. */
 class ServiceStats

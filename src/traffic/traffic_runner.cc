@@ -19,54 +19,36 @@ namespace
 /** Fault-seed advance per retry attempt (matches SweepExecutor). */
 constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
 
-void
-jsonSummary(std::ostream &os, const char *key, const LatencySummary &s)
-{
-    os << '"' << key << "\": {\"samples\": " << s.samples
-       << ", \"min\": " << s.min << ", \"max\": " << s.max
-       << ", \"mean\": " << s.mean << ", \"p50\": " << s.p50
-       << ", \"p95\": " << s.p95 << ", \"p99\": " << s.p99
-       << ", \"p999\": " << s.p999 << "}";
-}
-
 } // anonymous namespace
 
 void
-TrafficResult::dumpJson(std::ostream &os) const
+TrafficResult::dumpJson(json::Writer &w) const
 {
-    os << "{\"cycles\": " << cycles << ", \"completed\": " << completed
-       << ", \"words\": " << words
-       << ", \"requestsPerKilocycle\": " << requestsPerKilocycle
-       << ", \"wordsPerCycle\": " << wordsPerCycle
-       << ", \"meanInFlight\": " << meanInFlight
-       << ", \"bcUtilization\": " << bcUtilization
-       << ", \"shed\": " << shed << ", \"shedRate\": " << shedRate
-       << ", \"simTicks\": " << simTicks
-       << ", \"cyclesSkipped\": " << cyclesSkipped << ", ";
-    jsonSummary(os, "queueDelay", queueDelay);
-    os << ", ";
-    jsonSummary(os, "serviceLatency", serviceLatency);
-    os << ", ";
-    jsonSummary(os, "totalLatency", totalLatency);
-    os << ", \"streams\": [";
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-        const StreamResult &s = streams[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << s.name
-           << "\", \"requests\": " << s.requests
-           << ", \"completed\": " << s.completed
-           << ", \"deferrals\": " << s.deferrals
-           << ", \"shedDeadline\": " << s.shedDeadline
-           << ", \"shedOverload\": " << s.shedOverload
-           << ", \"queuePeak\": " << s.queuePeak
-           << ", \"words\": " << s.words << ", ";
-        jsonSummary(os, "queueDelay", s.queueDelay);
-        os << ", ";
-        jsonSummary(os, "serviceLatency", s.serviceLatency);
-        os << ", ";
-        jsonSummary(os, "totalLatency", s.totalLatency);
-        os << "}";
+    w.beginObject().member("cycles", cycles).member("completed", completed);
+    w.member("words", words);
+    w.member("requestsPerKilocycle", requestsPerKilocycle);
+    w.member("wordsPerCycle", wordsPerCycle);
+    w.member("meanInFlight", meanInFlight);
+    w.member("bcUtilization", bcUtilization);
+    w.member("shed", shed).member("shedRate", shedRate);
+    w.member("simTicks", simTicks).member("cyclesSkipped", cyclesSkipped);
+    writeLatencyJson(w, "queueDelay", queueDelay);
+    writeLatencyJson(w, "serviceLatency", serviceLatency);
+    writeLatencyJson(w, "totalLatency", totalLatency);
+    w.key("streams").beginArray();
+    for (const StreamResult &s : streams) {
+        w.beginObject().member("name", s.name);
+        w.member("requests", s.requests).member("completed", s.completed);
+        w.member("deferrals", s.deferrals);
+        w.member("shedDeadline", s.shedDeadline);
+        w.member("shedOverload", s.shedOverload);
+        w.member("queuePeak", s.queuePeak).member("words", s.words);
+        writeLatencyJson(w, "queueDelay", s.queueDelay);
+        writeLatencyJson(w, "serviceLatency", s.serviceLatency);
+        writeLatencyJson(w, "totalLatency", s.totalLatency);
+        w.endObject();
     }
-    os << "]}";
+    w.endArray().endObject();
 }
 
 TrafficResult
@@ -289,19 +271,16 @@ writeLoadCsv(std::ostream &os, const std::vector<LoadPoint> &points)
 }
 
 void
-writeLoadJson(std::ostream &os, const std::vector<LoadPoint> &points)
+writeLoadJson(json::Writer &w, const std::vector<LoadPoint> &points)
 {
-    os << "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const LoadPoint &p = points[i];
-        os << (i ? ",\n  " : "\n  ") << "{\"system\": \""
-           << systemShortName(p.system)
-           << "\", \"offered\": " << p.offered << ", \"failed\": "
-           << (p.failed ? "true" : "false") << ", \"result\": ";
-        p.result.dumpJson(os);
-        os << "}";
+    w.beginObject().key("points").beginArray(json::Writer::Layout::Block);
+    for (const LoadPoint &p : points) {
+        w.beginObject().member("system", systemShortName(p.system));
+        w.member("offered", p.offered).member("failed", p.failed);
+        p.result.dumpJson(w.key("result"));
+        w.endObject();
     }
-    os << (points.empty() ? "]}\n" : "\n]}\n");
+    w.endArray().endObject().endLine();
 }
 
 } // namespace pva

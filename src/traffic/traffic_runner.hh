@@ -27,6 +27,7 @@
 
 #include "kernels/sweep.hh"
 #include "kernels/sweep_executor.hh"
+#include "sim/json.hh"
 #include "traffic/arbiter.hh"
 #include "traffic/service_stats.hh"
 #include "traffic/stream.hh"
@@ -83,7 +84,8 @@ struct TrafficResult
     std::vector<StreamResult> streams;
 
     /** Deterministic single-object JSON dump. */
-    void dumpJson(std::ostream &os) const;
+    void dumpJson(json::Writer &w) const;
+    void dumpJson(std::ostream &os) const { json::Writer w(os); dumpJson(w); }
 };
 
 /**
@@ -140,8 +142,14 @@ void writeLoadCsvHeader(std::ostream &os);
 void writeLoadCsvRow(std::ostream &os, const LoadPoint &point);
 void writeLoadCsv(std::ostream &os,
                   const std::vector<LoadPoint> &points);
-void writeLoadJson(std::ostream &os,
-                   const std::vector<LoadPoint> &points);
+/** The JSON document as the next value of @p w (it ends its line). */
+void writeLoadJson(json::Writer &w, const std::vector<LoadPoint> &points);
+inline void
+writeLoadJson(std::ostream &os, const std::vector<LoadPoint> &points)
+{
+    json::Writer w(os);
+    writeLoadJson(w, points);
+}
 /** @} */
 
 } // namespace pva

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "fleet/scenario.hh"
+#include "fuzz_input.hh"
 #include "kernels/repro_capsule.hh"
 #include "kernels/sweep.hh"
 #include "kernels/sweep_journal.hh"
@@ -193,34 +194,6 @@ TEST(ConfigFuzz, MutatedConfigsFailOnlyWithStructuredErrors)
     EXPECT_GT(validated, 10u);
     EXPECT_GT(rejected, 10u);
     EXPECT_GT(executed, 0u);
-}
-
-/** One seeded hostile variant of @p valid: a few flipped bytes, a
- *  truncation, a slice of the document spliced in elsewhere, or a run
- *  of digits that overflows any integer it lands in. */
-std::string
-mangle(Random &rng, const std::string &valid)
-{
-    std::string s = valid;
-    switch (rng.below(4)) {
-      case 0:
-        for (unsigned n = 1 + rng.below(4); n > 0; --n)
-            s[rng.below(s.size())] = static_cast<char>(rng.below(256));
-        break;
-      case 1:
-        s.resize(rng.below(s.size()));
-        break;
-      case 2: {
-        const std::size_t from = rng.below(s.size());
-        const std::size_t len = rng.below(s.size() - from + 1);
-        s.insert(rng.below(s.size() + 1), valid.substr(from, len));
-        break;
-      }
-      case 3:
-        s.insert(rng.below(s.size() + 1), std::string(24, '9'));
-        break;
-    }
-    return s;
 }
 
 /** Feed @p rounds mangled variants of @p valid to @p load; only

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/fleet_runner.hh"
+#include "sim/json.hh"
 #include "sim/trace.hh"
 #include "tool_app.hh"
 
@@ -30,9 +32,8 @@ TEST(JsonEnvelope, CarriesSchemaVersionToolAndConfig)
     SystemConfig config;
     std::ostringstream os;
     {
-        JsonEnvelope env(os, app, config,
-                         {{"kernel", jsonQuote("copy")}});
-        env.section("run") << "{\"cycles\": 42}";
+        JsonEnvelope env(os, app, config, {{"kernel", "copy"}});
+        env.section("run").beginObject().member("cycles", 42).endObject();
     }
     const std::string out = os.str();
     EXPECT_EQ(out.rfind("{\"schemaVersion\": 2, \"tool\": "
@@ -45,11 +46,51 @@ TEST(JsonEnvelope, CarriesSchemaVersionToolAndConfig)
     EXPECT_EQ(out.substr(out.size() - 2), "}\n");
 }
 
-TEST(JsonEnvelope, QuoteEscapesSpecials)
+TEST(JsonEnvelope, ExtrasAreTypedAndStringsEscaped)
 {
-    EXPECT_EQ(jsonQuote("plain"), "\"plain\"");
-    EXPECT_EQ(jsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
-    EXPECT_EQ(jsonQuote(std::string("x\ny")), "\"x y\"");
+    ToolApp app("enveloped");
+    const std::string specials = "a\"b\\c\nd\te\x01";
+    std::ostringstream os;
+    {
+        JsonEnvelope env(os, app, SystemConfig{},
+                         {{"plain", "plain"},
+                          {"specials", specials},
+                          {"count", 7u}});
+    }
+    const std::string out = os.str();
+    EXPECT_NE(out.find("\"plain\": \"plain\""), std::string::npos);
+    EXPECT_NE(out.find("\"specials\": \"a\\\"b\\\\c\\nd\\te\\u0001\""),
+              std::string::npos) << out;
+    EXPECT_NE(out.find("\"count\": 7}"), std::string::npos) << out;
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(out, doc, error)) << error;
+    EXPECT_EQ(doc.find("config")->find("specials")->string(), specials);
+}
+
+TEST(JsonEnvelope, FleetSectionEscapesTenantNames)
+{
+    const std::string name = "a\"b\\\tc0";
+    fleet::FleetResult r;
+    r.tenantResults.resize(1);
+    r.tenantResults[0].name = name;
+    ToolApp app("enveloped");
+    std::ostringstream os;
+    {
+        JsonEnvelope env(os, app, SystemConfig{});
+        r.dumpJson(env.section("fleet"));
+    }
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(os.str(), doc, error))
+        << error << "\n" << os.str();
+    EXPECT_EQ(doc.find("fleet")
+                  ->find("tenantResults")
+                  ->array()
+                  .at(0)
+                  .find("name")
+                  ->string(),
+              name);
 }
 
 } // anonymous namespace

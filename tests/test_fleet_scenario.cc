@@ -13,6 +13,7 @@
 
 #include "expect_sim_error.hh"
 #include "fleet/scenario.hh"
+#include "sim/json.hh"
 #include "sim/sim_error.hh"
 
 using namespace pva;
@@ -223,4 +224,27 @@ TEST(FleetScenario, ResultLineIsVersionedAndSingleLine)
               0u);
     EXPECT_EQ(line.back(), '\n');
     EXPECT_EQ(line.find('\n'), line.size() - 1); // exactly one line
+}
+
+TEST(FleetScenario, ResultLineEscapesTenantNames)
+{
+    // The tenant spec is named a"b\<tab>c; its tenants a"b\<tab>c0/1.
+    const fleet::Scenario sc = fleet::parseScenarioText(R"({
+      "kind": "fleet", "name": "esc\"aped\\",
+      "tenants": [{"name": "a\"b\\\tc", "count": 2,
+                   "streamsPerTenant": 2, "stream": {"requests": 4}}]})");
+    const std::string spec = "a\"b\\\tc";
+    ASSERT_EQ(sc.config.tenants.at(0).name, spec);
+    const fleet::FleetResult r = fleet::runFleet(sc.config);
+    std::ostringstream os;
+    fleet::writeScenarioResult(os, sc, r);
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(os.str(), doc, error))
+        << error << "\n" << os.str();
+    EXPECT_EQ(doc.find("scenario")->string(), "esc\"aped\\");
+    const auto &tenants = doc.find("fleet")->find("tenantResults")->array();
+    ASSERT_EQ(tenants.size(), 2u);
+    EXPECT_EQ(tenants[0].find("name")->string(), spec + "0");
+    EXPECT_EQ(tenants[1].find("name")->string(), spec + "1");
 }

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -280,6 +281,33 @@ TEST(StatSet, CopiedAndMovedSetsFindTheirEntries)
     assigned = std::move(copy);
     EXPECT_EQ(assigned.scalar(manyName(299)), 299u);
     EXPECT_TRUE(assigned.hasScalar(manyName(1399)));
+}
+
+TEST(StatSet, JsonDumpEscapesNames)
+{
+    const std::string scalarName = "tenant \"a\\b\".reads";
+    const std::string distName = "bc\t1.latency";
+    const std::string histName = std::string("x\x01y");
+    Scalar s;
+    s += 5;
+    Distribution d;
+    d.sample(3);
+    LogHistogram h;
+    h.sample(9);
+    StatSet set;
+    set.addScalar(scalarName, &s);
+    set.addDistribution(distName, &d);
+    set.addHistogram(histName, &h);
+
+    json::Value doc;
+    std::string error;
+    const std::string text = jsonOf(set);
+    ASSERT_TRUE(json::parse(text, doc, error)) << error << "\n" << text;
+    const json::Value *scalar = doc.find("scalars")->find(scalarName);
+    ASSERT_NE(scalar, nullptr) << text;
+    EXPECT_EQ(scalar->numberText(), "5");
+    EXPECT_NE(doc.find("distributions")->find(distName), nullptr) << text;
+    EXPECT_NE(doc.find("histograms")->find(histName), nullptr) << text;
 }
 
 } // anonymous namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/sweep_executor.hh"
+#include "sim/json.hh"
 #include "sim/sim_error.hh"
 #include "traffic/traffic_runner.hh"
 
@@ -302,4 +303,20 @@ TEST(TrafficFaults, RetriedPointsProduceIdenticalServiceStats)
     EXPECT_EQ(report.retried, 1u);
     EXPECT_EQ(results[0], undisturbed);
     EXPECT_EQ(results[1], undisturbed);
+}
+
+TEST(TrafficResult, JsonEscapesStreamNames)
+{
+    TrafficConfig tc = smallConfig(2, ArrivalMode::ClosedLoop, 8);
+    tc.streams[0].name = "web \"front\"\\a";
+    tc.streams[1].name = "batch\tjob\n";
+    const TrafficResult r = runTraffic(tc);
+    const std::string text = jsonOf(r);
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(text, doc, error)) << error << "\n" << text;
+    const auto &streams = doc.find("streams")->array();
+    ASSERT_EQ(streams.size(), 2u);
+    EXPECT_EQ(streams[0].find("name")->string(), tc.streams[0].name);
+    EXPECT_EQ(streams[1].find("name")->string(), tc.streams[1].name);
 }

@@ -351,9 +351,9 @@ runSweep(const ToolApp &app, const LoadgenOptions &opts)
     std::vector<LoadPoint> points = runLoadSweep(sc);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"loads", jsonQuote(opts.loads)},
-                          {"systems", jsonQuote(opts.systems)},
-                          {"streams", std::to_string(opts.streams)}});
+                         {{"loads", opts.loads},
+                          {"systems", opts.systems},
+                          {"streams", opts.streams}});
         writeLoadJson(env.section("loadSweep"), points);
         env.traceSection(app);
     } else {
@@ -381,13 +381,12 @@ runOnce(const ToolApp &app, const LoadgenOptions &opts)
         runTraffic(tc, opts.stats ? &std::cerr : nullptr);
 
     if (opts.json) {
-        JsonEnvelope env(
-            std::cout, app, opts.config,
-            {{"system", jsonQuote(opts.system)},
-             {"policy", jsonQuote(opts.policy)},
-             {"mode", jsonQuote(opts.mode)},
-             {"streams", std::to_string(opts.streams)},
-             {"requests", std::to_string(opts.requests)}});
+        JsonEnvelope env(std::cout, app, opts.config,
+                         {{"system", opts.system},
+                          {"policy", opts.policy},
+                          {"mode", opts.mode},
+                          {"streams", opts.streams},
+                          {"requests", opts.requests}});
         r.dumpJson(env.section("traffic"));
         env.traceSection(app);
         return 0;
@@ -501,14 +500,12 @@ runFleetOnce(const ToolApp &app, const LoadgenOptions &opts)
     const fleet::FleetResult r = fleet::runFleet(fc);
 
     if (opts.json) {
-        JsonEnvelope env(
-            std::cout, app, opts.config,
-            {{"system", jsonQuote(opts.system)},
-             {"policy", jsonQuote(opts.policy)},
-             {"tenants", std::to_string(opts.tenants)},
-             {"streamsPerTenant",
-              std::to_string(opts.streamsPerTenant)},
-             {"shards", std::to_string(fc.shards)}});
+        JsonEnvelope env(std::cout, app, opts.config,
+                         {{"system", opts.system},
+                          {"policy", opts.policy},
+                          {"tenants", opts.tenants},
+                          {"streamsPerTenant", opts.streamsPerTenant},
+                          {"shards", fc.shards}});
         r.dumpJson(env.section("fleet"));
         env.traceSection(app);
         return 0;

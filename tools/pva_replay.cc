@@ -49,15 +49,14 @@ runReplay(const ToolApp &app, const ToolOptions &opts)
     ReplayResult r = replayTrace(*sys, trace, opts.config.clocking);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"system", jsonQuote(opts.system)},
-                          {"traceFile", jsonQuote(opts.tracePath)}});
-        env.section("replay")
-            << "{\"commands\": " << r.commands
-            << ", \"cycles\": " << r.cycles << ", \"readChecksum\": "
-            << jsonQuote(csprintf("%016llx",
-                                  static_cast<unsigned long long>(
-                                      r.readChecksum)))
-            << "}";
+                         {{"system", opts.system},
+                          {"traceFile", opts.tracePath}});
+        json::Writer &w = env.section("replay").beginObject();
+        w.member("commands", r.commands).member("cycles", r.cycles);
+        w.member("readChecksum",
+                 csprintf("%016llx", static_cast<unsigned long long>(
+                                         r.readChecksum)));
+        w.endObject();
         sys->stats().dumpJson(env.section("stats"));
         env.traceSection(app);
     } else {
@@ -103,12 +102,11 @@ runRepro(const ToolApp &app, const ToolOptions &opts)
                                 : sameSimError(observed, capsule.error);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, capsule.request.config,
-                         {{"capsule", jsonQuote(opts.reproPath)}});
-        env.section("repro")
-            << "{\"reproduced\": " << (reproduced ? "true" : "false")
-            << ", \"completed\": " << (completed ? "true" : "false")
-            << ", \"recordedError\": " << jsonQuote(capsule.error)
-            << ", \"observedError\": " << jsonQuote(observed) << "}";
+                         {{"capsule", opts.reproPath}});
+        json::Writer &w = env.section("repro").beginObject();
+        w.member("reproduced", reproduced).member("completed", completed);
+        w.member("recordedError", capsule.error);
+        w.member("observedError", observed).endObject();
         env.traceSection(app);
     } else if (completed) {
         std::printf("replay completed cleanly (%llu cycles, %zu "

@@ -73,7 +73,7 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
         // The CSV owns stdout under --sweep; the envelope goes to
         // stderr so both can be captured independently.
         JsonEnvelope env(std::cerr, app, opts.config,
-                         {{"elements", std::to_string(opts.elements)}});
+                         {{"elements", opts.elements}});
         executor.stats().dumpJson(env.section("stats"));
         report.dumpJson(env.section("sweep"));
         env.traceSection(app);
@@ -97,19 +97,17 @@ runOnce(const ToolApp &app, const ToolOptions &opts)
         limits.timeoutMillis = opts.pointTimeout;
     RunResult r = runKernelOn(*sys, kernel, wl, limits);
     if (opts.json) {
-        JsonEnvelope env(
-            std::cout, app, opts.config,
-            {{"kernel", jsonQuote(spec.name)},
-             {"system", jsonQuote(opts.system)},
-             {"stride", std::to_string(opts.stride)},
-             {"alignment", std::to_string(opts.alignment)},
-             {"elements", std::to_string(opts.elements)}});
-        env.section("run")
-            << "{\"cycles\": " << r.cycles
-            << ", \"mismatches\": " << r.mismatches
-            << ", \"simTicks\": " << r.simTicks
-            << ", \"cyclesSkipped\": " << r.cyclesSkipped
-            << ", \"cyclesPerSecond\": " << r.cyclesPerSecond << "}";
+        JsonEnvelope env(std::cout, app, opts.config,
+                         {{"kernel", spec.name},
+                          {"system", opts.system},
+                          {"stride", opts.stride},
+                          {"alignment", opts.alignment},
+                          {"elements", opts.elements}});
+        json::Writer &w = env.section("run").beginObject();
+        w.member("cycles", r.cycles).member("mismatches", r.mismatches);
+        w.member("simTicks", r.simTicks);
+        w.member("cyclesSkipped", r.cyclesSkipped);
+        w.member("cyclesPerSecond", r.cyclesPerSecond).endObject();
         sys->stats().dumpJson(env.section("stats"));
         env.traceSection(app);
     } else {

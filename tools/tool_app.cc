@@ -382,47 +382,28 @@ ToolApp::traceDropped() const
     return traceState->dropped;
 }
 
-std::string
-jsonQuote(const std::string &s)
+JsonEnvelope::JsonEnvelope(std::ostream &os, const ToolApp &app,
+                           const SystemConfig &config,
+                           const std::vector<ConfigExtra> &config_extras)
+    : w(os)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += (c >= 0 && c < 0x20) ? ' ' : c;
-    }
-    out += '"';
-    return out;
-}
-
-JsonEnvelope::JsonEnvelope(
-    std::ostream &stream, const ToolApp &app,
-    const SystemConfig &config,
-    const std::vector<std::pair<std::string, std::string>>
-        &config_extras)
-    : os(stream)
-{
-    os << "{\"schemaVersion\": " << kJsonSchemaVersion
-       << ", \"tool\": " << jsonQuote(app.toolName())
-       << ", \"config\": {";
-    writeConfigJson(os, config, ", ");
-    for (const auto &[key, raw] : config_extras)
-        os << ", " << jsonQuote(key) << ": " << raw;
-    os << "}";
+    w.beginObject().member("schemaVersion", kJsonSchemaVersion);
+    w.member("tool", app.toolName()).key("config").beginObject();
+    writeConfigJson(w, config);
+    for (const auto &[key, value] : config_extras)
+        std::visit([&](const auto &v) { w.member(key, v); }, value);
+    w.endObject();
 }
 
 JsonEnvelope::~JsonEnvelope()
 {
-    os << "}\n";
+    w.endObject().endLine();
 }
 
-std::ostream &
+json::Writer &
 JsonEnvelope::section(const char *key)
 {
-    os << ", \"" << key << "\": ";
-    return os;
+    return w.key(key);
 }
 
 void
@@ -430,10 +411,9 @@ JsonEnvelope::traceSection(const ToolApp &app)
 {
     if (!app.traceOptions().active())
         return;
-    section("trace")
-        << "{\"out\": " << jsonQuote(app.traceOptions().outPath)
-        << ", \"recorded\": " << app.traceRecorded()
-        << ", \"dropped\": " << app.traceDropped() << "}";
+    section("trace").beginObject().member("out", app.traceOptions().outPath);
+    w.member("recorded", app.traceRecorded());
+    w.member("dropped", app.traceDropped()).endObject();
 }
 
 } // namespace pva::tools

@@ -32,6 +32,8 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -160,32 +162,33 @@ class ToolApp
     std::unique_ptr<TraceState> traceState;
 };
 
+/** A tool-specific member of the envelope's "config" object: its key
+ *  and a string or unsigned integer value. */
+using ConfigExtra =
+    std::pair<const char *, std::variant<std::string, std::uint64_t>>;
+
 /**
  * Versioned JSON envelope (docs/API.md). The constructor opens the
- * object and writes schemaVersion/tool/config; section() appends
- * ', "<key>": ' and hands back the stream for the caller to write the
+ * object and writes schemaVersion/tool/config; section() writes the
+ * key "<key>" and hands back the writer for the caller to write the
  * payload; the destructor closes the object.
  */
 class JsonEnvelope
 {
   public:
-    /**
-     * @param config_extras  extra key/value pairs merged into the
-     *        "config" object; values are raw JSON (use jsonQuote for
-     *        strings).
-     */
+    /** @param config_extras  members appended to the "config" object,
+     *         after the SystemConfig fields. */
     JsonEnvelope(std::ostream &os, const ToolApp &app,
                  const SystemConfig &config,
-                 const std::vector<std::pair<std::string, std::string>>
-                     &config_extras = {});
+                 const std::vector<ConfigExtra> &config_extras = {});
     ~JsonEnvelope();
 
     JsonEnvelope(const JsonEnvelope &) = delete;
     JsonEnvelope &operator=(const JsonEnvelope &) = delete;
 
-    /** Start section @p key; caller writes one JSON value to the
-     *  returned stream. */
-    std::ostream &section(const char *key);
+    /** Start section @p key; caller writes one value through the
+     *  returned writer. */
+    json::Writer &section(const char *key);
 
     /**
      * Append the "trace" accounting section (out path, recorded,
@@ -194,11 +197,8 @@ class JsonEnvelope
     void traceSection(const ToolApp &app);
 
   private:
-    std::ostream &os;
+    json::Writer w;
 };
-
-/** Quote + escape @p s as a JSON string literal. */
-std::string jsonQuote(const std::string &s);
 
 } // namespace pva::tools
 
