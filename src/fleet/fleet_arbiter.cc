@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/simulation.hh"
 #include "sim/trace.hh"
 
 namespace pva::fleet
@@ -779,6 +780,46 @@ FleetArbiter::nextWake(Cycle now)
         }
     }
     return wake;
+}
+
+SeatRun
+runSeats(SystemKind kind, const SystemConfig &config,
+         const ArbiterConfig &arbiter, std::vector<TenantSeat> seats,
+         const RunLimits &limits, MessageBus &bus,
+         [[maybe_unused]] const char *trace_track)
+{
+    SeatRun run;
+    run.system = makeSystem(kind, config);
+    run.arbiter =
+        std::make_unique<FleetArbiter>(arbiter, std::move(seats), bus);
+    MemorySystem &sys = *run.system;
+    FleetArbiter &arb = *run.arbiter;
+    arb.applyPokes(sys.memory());
+    PVA_TRACE_BLOCK(
+        if (trace::TraceSession *ts = trace::session();
+            ts && trace_track)
+            arb.setTraceTrack(ts->registerTrack("traffic", trace_track)););
+
+    Simulation sim(config.clocking);
+    sim.add(&sys);
+    sim.runUntil(
+        [&] {
+            bool done = arb.service(sys, sim.now());
+            // The arbiter is not a Component; its self-scheduled work
+            // (open-loop arrivals, post-change cascades) is posted as
+            // external wakes. No-op under exhaustive clocking.
+            if (!done)
+                sim.requestWake(arb.nextWake(sim.now()));
+            return done;
+        },
+        limits.maxCycles, limits.timeoutMillis);
+    run.cycles = sim.now();
+    run.simTicks = sim.simTicks();
+    run.cyclesSkipped = sim.cyclesSkipped();
+    run.cyclesPerSecond = sim.cyclesPerSecond();
+    sys.recordSimPerf(run.simTicks, run.cyclesSkipped,
+                      run.cyclesPerSecond);
+    return run;
 }
 
 } // namespace pva::fleet

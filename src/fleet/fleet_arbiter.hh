@@ -2,7 +2,7 @@
  * @file
  * Event-driven hierarchical stream arbitration: the arbiter behind
  * every traffic run (runTraffic seats its streams as one tenant) and
- * every fleet shard.
+ * every fleet shard, both driven to drain by runSeats.
  *
  * The flat StreamArbiter (traffic/arbiter.hh) scans every stream
  * several times per service step. It stays as the reference the tests
@@ -56,12 +56,14 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/memory_system.hh"
 #include "fleet/message_bus.hh"
 #include "fleet/request_queues.hh"
+#include "kernels/sweep.hh"
 #include "sim/pool.hh"
 #include "traffic/arbiter.hh"
 #include "traffic/service_stats.hh"
@@ -71,6 +73,27 @@ namespace pva::fleet
 {
 
 class FleetArbiter;
+
+/** Heap order of Priority-policy candidates (priority, arrival, id):
+ *  the top is the highest priority, then the oldest, then the lowest
+ *  id. Both tiers pick with it. */
+struct PrioWorse
+{
+    bool
+    operator()(const std::tuple<unsigned, Cycle, unsigned> &x,
+               const std::tuple<unsigned, Cycle, unsigned> &y) const
+    {
+        if (std::get<0>(x) != std::get<0>(y))
+            return std::get<0>(x) < std::get<0>(y);
+        if (std::get<1>(x) != std::get<1>(y))
+            return std::get<1>(x) > std::get<1>(y);
+        return std::get<2>(x) > std::get<2>(y);
+    }
+};
+using PrioHeap =
+    std::priority_queue<std::tuple<unsigned, Cycle, unsigned>,
+                        std::vector<std::tuple<unsigned, Cycle, unsigned>>,
+                        PrioWorse>;
 
 /** One tenant's streams and name, ready to seat in a FleetArbiter. */
 struct TenantSeat
@@ -217,26 +240,9 @@ class TenantArbiter
                         std::greater<>>
         headHeap;
 
-    /** Lazy priority heap: top = highest priority, then oldest, then
-     *  lowest local id (Priority policy pick). */
-    struct PrioWorse
-    {
-        bool
-        operator()(const std::tuple<unsigned, Cycle, unsigned> &x,
-                   const std::tuple<unsigned, Cycle, unsigned> &y) const
-        {
-            if (std::get<0>(x) != std::get<0>(y))
-                return std::get<0>(x) < std::get<0>(y);
-            if (std::get<1>(x) != std::get<1>(y))
-                return std::get<1>(x) > std::get<1>(y);
-            return std::get<2>(x) > std::get<2>(y);
-        }
-    };
-    std::priority_queue<std::tuple<unsigned, Cycle, unsigned>,
-                        std::vector<std::tuple<unsigned, Cycle,
-                                               unsigned>>,
-                        PrioWorse>
-        prioHeap;
+    /** Lazy priority heap over (priority, arrival, local) (Priority
+     *  policy pick). */
+    PrioHeap prioHeap;
 
     /** Non-empty queues by local id (RoundRobin pick). */
     std::set<unsigned> rrSet;
@@ -295,16 +301,10 @@ class FleetArbiter
 
     /** @name Fleet-level occupancy sampling
      * Owned here (not per-tenant) so merged tenant stats never
-     * multiply the cycle count by the tenant count. @{ */
+     * multiply the cycle count by the tenant count; the runners credit
+     * it to one ServiceStats (onOccupancy). @{ */
     std::uint64_t occupancyCycles() const { return occCycles; }
     std::uint64_t occupancySum() const { return occSum; }
-    double
-    meanInFlight() const
-    {
-        return occCycles == 0 ? 0.0
-                              : static_cast<double>(occSum) /
-                                    static_cast<double>(occCycles);
-    }
     /** @} */
 
     std::uint64_t grants() const { return grantCount; }
@@ -396,24 +396,7 @@ class FleetArbiter
                         std::vector<std::pair<Cycle, unsigned>>,
                         std::greater<>>
         rootFifo; ///< (arrival, global id)
-    struct RootPrioWorse
-    {
-        bool
-        operator()(const std::tuple<unsigned, Cycle, unsigned> &x,
-                   const std::tuple<unsigned, Cycle, unsigned> &y) const
-        {
-            if (std::get<0>(x) != std::get<0>(y))
-                return std::get<0>(x) < std::get<0>(y);
-            if (std::get<1>(x) != std::get<1>(y))
-                return std::get<1>(x) > std::get<1>(y);
-            return std::get<2>(x) > std::get<2>(y);
-        }
-    };
-    std::priority_queue<std::tuple<unsigned, Cycle, unsigned>,
-                        std::vector<std::tuple<unsigned, Cycle,
-                                               unsigned>>,
-                        RootPrioWorse>
-        rootPrio; ///< (priority, arrival, global id)
+    PrioHeap rootPrio; ///< (priority, arrival, global id)
     std::set<unsigned> nonEmptyTenants; ///< RoundRobin occupancy
     std::vector<char> dirtyFlag;
     std::vector<unsigned> dirtyList;
@@ -457,6 +440,30 @@ class FleetArbiter
     /** @} */
     std::uint32_t traceTrackId = 0;
 };
+
+/** A drained run of seated tenants: the finished system and arbiter,
+ *  for the caller's reduction, and the clocking counters. */
+struct SeatRun
+{
+    std::unique_ptr<MemorySystem> system;
+    std::unique_ptr<FleetArbiter> arbiter;
+    Cycle cycles = 0; ///< Drain cycle
+    std::uint64_t simTicks = 0;
+    std::uint64_t cyclesSkipped = 0;
+    std::uint64_t cyclesPerSecond = 0;
+};
+
+/**
+ * Seat @p seats in a FleetArbiter on a fresh @p kind system and run
+ * them to drain under @p limits (SimError on watchdog expiry): the one
+ * run loop behind runTraffic and every runFleet shard. Telemetry goes
+ * to @p bus. In traced builds a non-null @p trace_track names the
+ * arbiter's track under the "traffic" process.
+ */
+SeatRun runSeats(SystemKind kind, const SystemConfig &config,
+                 const ArbiterConfig &arbiter,
+                 std::vector<TenantSeat> seats, const RunLimits &limits,
+                 MessageBus &bus, const char *trace_track = nullptr);
 
 } // namespace pva::fleet
 

@@ -10,16 +10,12 @@
 #include "kernels/sweep_executor.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
-#include "sim/simulation.hh"
 
 namespace pva::fleet
 {
 
 namespace
 {
-
-/** Fault-seed advance per retry attempt (matches SweepExecutor). */
-constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
 
 /** Where tenant @p t's spec and global stream range live. */
 struct TenantLayout
@@ -32,14 +28,13 @@ struct TenantLayout
 /** Everything one shard task hands back for the merge. */
 struct ShardOutcome
 {
-    std::unique_ptr<ServiceStats> merged; ///< Shard-level aggregate
+    /** Shard-level aggregate, with the root tier's occupancy. */
+    std::unique_ptr<ServiceStats> merged;
     std::vector<TenantResult> tenantResults; ///< Local tenant order
     Cycle cycles = 0;
     std::uint64_t simTicks = 0;
     std::uint64_t cyclesSkipped = 0;
     std::uint64_t grants = 0;
-    std::uint64_t occCycles = 0;
-    std::uint64_t occSum = 0;
     std::uint64_t busGrants = 0;
     std::uint64_t busSheds = 0;
 };
@@ -65,14 +60,8 @@ FleetResult::dumpJson(json::Writer &w) const
     w.key("tenantResults").beginArray();
     for (const TenantResult &t : tenantResults) {
         w.beginObject().member("name", t.name).member("shard", t.shard);
-        w.member("arrivals", t.arrivals).member("completed", t.completed);
-        w.member("deferrals", t.deferrals);
-        w.member("shedDeadline", t.shedDeadline);
-        w.member("shedOverload", t.shedOverload);
-        w.member("queuePeak", t.queuePeak).member("words", t.words);
-        writeLatencyJson(w, "queueDelay", t.queueDelay);
-        writeLatencyJson(w, "serviceLatency", t.serviceLatency);
-        writeLatencyJson(w, "totalLatency", t.totalLatency);
+        w.member("arrivals", t.arrivals);
+        t.dumpJsonMembers(w);
         w.endObject();
     }
     w.endArray().endObject();
@@ -147,10 +136,7 @@ runFleet(const FleetConfig &config)
 
     auto task = [&](std::size_t s, unsigned attempt) {
         SystemConfig sys_cfg = config.config;
-        // A retry of a fault-injected shard explores a different
-        // fault timeline rather than replaying the failure.
-        if (attempt > 0 && sys_cfg.faults.enabled())
-            sys_cfg.faults.seed += kRetrySeedStep * attempt;
+        sys_cfg.faults.reseedForRetry(attempt);
 
         MessageBus bus;
         std::vector<std::unique_ptr<ServiceStats>> tenantStats;
@@ -165,7 +151,7 @@ runFleet(const FleetConfig &config)
                 const std::uint64_t g = tl.firstStream + k;
                 sources.emplace_back(
                     templates[tl.spec], k,
-                    spec.stream.seed + kRetrySeedStep * (g + 1),
+                    spec.stream.seed + kSeedMixStep * (g + 1),
                     spec.stream.pattern.regionBase +
                         g * spec.regionStrideWords);
             }
@@ -189,50 +175,28 @@ runFleet(const FleetConfig &config)
         bus.subscribe<ShedEvent>(
             [&busSheds](const ShedEvent &) { ++busSheds; });
 
-        auto sys = makeSystem(config.system, sys_cfg);
-        FleetArbiter arbiter(config.arbiter, std::move(seats), bus);
-        arbiter.applyPokes(sys->memory());
-
-        Simulation sim(sys_cfg.clocking);
-        sim.add(sys.get());
-        sim.runUntil(
-            [&] {
-                bool done = arbiter.service(*sys, sim.now());
-                if (!done)
-                    sim.requestWake(arbiter.nextWake(sim.now()));
-                return done;
-            },
-            config.limits.maxCycles, config.limits.timeoutMillis);
+        const SeatRun run =
+            runSeats(config.system, sys_cfg, config.arbiter,
+                     std::move(seats), config.limits, bus);
 
         ShardOutcome out;
-        out.cycles = sim.now();
-        out.simTicks = sim.simTicks();
-        out.cyclesSkipped = sim.cyclesSkipped();
-        out.grants = arbiter.grants();
-        out.occCycles = arbiter.occupancyCycles();
-        out.occSum = arbiter.occupancySum();
+        out.cycles = run.cycles;
+        out.simTicks = run.simTicks;
+        out.cyclesSkipped = run.cyclesSkipped;
+        out.grants = run.arbiter->grants();
         out.busGrants = busGrants;
         out.busSheds = busSheds;
         out.merged = std::make_unique<ServiceStats>(
             0, ServiceStats::Detail::AggregateOnly, "fleet");
+        out.merged->onOccupancy(run.arbiter->occupancyCycles(),
+                                run.arbiter->occupancySum());
         out.tenantResults.reserve(tenantStats.size());
         for (std::size_t j = 0; j < tenantStats.size(); ++j) {
             const ServiceStats &st = *tenantStats[j];
             out.merged->mergeFrom(st);
-            TenantResult tr;
-            tr.name = layout[s + j * shards].name;
-            tr.shard = static_cast<unsigned>(s);
-            tr.arrivals = st.arrivalsTotal();
-            tr.completed = st.completedTotal();
-            tr.deferrals = st.deferralsTotal();
-            tr.shedDeadline = st.shedDeadlineTotal();
-            tr.shedOverload = st.shedOverloadTotal();
-            tr.queuePeak = st.queuePeakTotal();
-            tr.words = st.wordsTotal();
-            tr.queueDelay = st.aggregateQueueDelay();
-            tr.serviceLatency = st.aggregateServiceLatency();
-            tr.totalLatency = st.aggregateTotalLatency();
-            out.tenantResults.push_back(std::move(tr));
+            out.tenantResults.push_back(
+                {st.totalRow(), layout[s + j * shards].name,
+                 static_cast<unsigned>(s), st.arrivalsTotal()});
         }
         outcomes[s] = std::move(out);
     };
@@ -257,44 +221,22 @@ runFleet(const FleetConfig &config)
     r.tenantResults.resize(totalTenants);
     ServiceStats fleetStats(0, ServiceStats::Detail::AggregateOnly,
                             "fleet");
-    std::uint64_t occCycles = 0, occSum = 0;
+    Cycle makespan = 0;
     for (unsigned s = 0; s < shards; ++s) {
         ShardOutcome &out = outcomes[s];
-        r.cycles = std::max(r.cycles, out.cycles);
+        makespan = std::max(makespan, out.cycles);
         r.simTicks += out.simTicks;
         r.cyclesSkipped += out.cyclesSkipped;
         r.grants += out.grants;
         r.busGrants += out.busGrants;
         r.busSheds += out.busSheds;
-        occCycles += out.occCycles;
-        occSum += out.occSum;
         fleetStats.mergeFrom(*out.merged);
         for (std::size_t j = 0; j < out.tenantResults.size(); ++j) {
             r.tenantResults[s + j * shards] =
                 std::move(out.tenantResults[j]);
         }
     }
-    r.completed = fleetStats.completedTotal();
-    r.words = fleetStats.wordsTotal();
-    r.shed = fleetStats.shedTotal();
-    if (r.completed + r.shed > 0) {
-        r.shedRate = static_cast<double>(r.shed) /
-                     static_cast<double>(r.completed + r.shed);
-    }
-    if (r.cycles > 0) {
-        r.requestsPerKilocycle = static_cast<double>(r.completed) *
-                                 1000.0 /
-                                 static_cast<double>(r.cycles);
-        r.wordsPerCycle = static_cast<double>(r.words) /
-                          static_cast<double>(r.cycles);
-    }
-    if (occCycles > 0) {
-        r.meanInFlight = static_cast<double>(occSum) /
-                         static_cast<double>(occCycles);
-    }
-    r.queueDelay = fleetStats.aggregateQueueDelay();
-    r.serviceLatency = fleetStats.aggregateServiceLatency();
-    r.totalLatency = fleetStats.aggregateTotalLatency();
+    r.fill(fleetStats, makespan);
     return r;
 }
 

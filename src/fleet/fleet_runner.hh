@@ -4,12 +4,13 @@
  *
  * runFleet() stamps a fleet of tenants out of TenantSpec templates,
  * partitions them across shards (tenant t lives on shard t % shards),
- * and runs one MemorySystem + FleetArbiter per shard on the
- * SweepExecutor's generic task engine — inheriting its worker pool,
- * retry policy, and index-addressed determinism. Shard results merge
- * in shard-index order with associative reductions (counter sums,
- * LogHistogram bucket adds), so a FleetResult is byte-identical for a
- * given (config, shards) at any --jobs.
+ * and runs each shard's tenants through runSeats (one MemorySystem +
+ * FleetArbiter) on the SweepExecutor's generic task engine — inheriting
+ * its worker pool, retry policy, and index-addressed determinism.
+ * Shard results merge in shard-index order with associative
+ * reductions (counter sums, LogHistogram bucket adds), so a
+ * FleetResult is byte-identical for a given (config, shards) at any
+ * --jobs.
  *
  * Stream seeding is derived from the global stream index, never from
  * the shard, so the offered load of every stream is a pure function of
@@ -69,37 +70,24 @@ struct FleetConfig
 };
 
 /** One tenant's slice of a FleetResult. */
-struct TenantResult
+struct TenantResult : ServiceRow
 {
     std::string name;
     unsigned shard = 0;
     std::uint64_t arrivals = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t deferrals = 0;
-    std::uint64_t shedDeadline = 0;
-    std::uint64_t shedOverload = 0;
-    std::uint64_t queuePeak = 0;
-    std::uint64_t words = 0;
-    LatencySummary queueDelay;
-    LatencySummary serviceLatency;
-    LatencySummary totalLatency;
 };
 
-/** Merged outcome of one fleet run. */
-struct FleetResult
+/**
+ * Merged outcome of one fleet run. Its cycles are the makespan, the
+ * slowest shard's drain cycle, which the rates are taken against; the
+ * mean in-flight count is occupancy-weighted across shards.
+ */
+struct FleetResult : ServiceTotals
 {
-    Cycle cycles = 0; ///< Makespan: the slowest shard's drain cycle
     unsigned shards = 0;
     std::uint64_t tenants = 0;
     std::uint64_t streams = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t words = 0;
     std::uint64_t grants = 0;
-    std::uint64_t shed = 0;
-    double shedRate = 0.0;
-    double requestsPerKilocycle = 0.0; ///< Against the makespan
-    double wordsPerCycle = 0.0;
-    double meanInFlight = 0.0; ///< Occupancy-weighted across shards
     std::uint64_t simTicks = 0;      ///< Summed over shards
     std::uint64_t cyclesSkipped = 0; ///< Summed over shards
     /** Bus-telemetry cross-check: grants/sheds counted by a decoupled
@@ -107,9 +95,6 @@ struct FleetResult
      *  shed above — the differential test holds this). */
     std::uint64_t busGrants = 0;
     std::uint64_t busSheds = 0;
-    LatencySummary queueDelay;
-    LatencySummary serviceLatency;
-    LatencySummary totalLatency;
     std::vector<TenantResult> tenantResults; ///< Global tenant order
 
     /** Deterministic single-line JSON dump (no trailing newline). */

@@ -26,10 +26,6 @@ namespace pva
 namespace
 {
 
-/** Per-attempt fault-seed advance: a retry of a fault-injected point
- *  must explore a different fault timeline, not replay the failure. */
-constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
-
 /** Create the quarantine directory (existing is fine). */
 void
 ensureDirectory(const std::string &path)
@@ -200,8 +196,7 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
             req.limits.timeoutMillis <= 0.0) {
             req.limits.timeoutMillis = pointTimeoutMillis;
         }
-        if (attempt > 0 && req.config.faults.enabled())
-            req.config.faults.seed += kRetrySeedStep * attempt;
+        req.config.faults.reseedForRetry(attempt);
         return req;
     };
 

@@ -34,6 +34,11 @@
 namespace pva
 {
 
+/** Golden-ratio (splitmix64) increment that spreads derived seeds: a
+ *  retry attempt's fault seed, a fault injector's stream and a fleet
+ *  stream's pattern seed. */
+constexpr std::uint64_t kSeedMixStep = 0x9e3779b97f4a7c15ULL;
+
 /** What to inject, and how often. All rates are probabilities in
  *  [0, 1] per opportunity (cycle or event; see each field). */
 struct FaultPlan
@@ -58,6 +63,17 @@ struct FaultPlan
         return refreshStallRate > 0.0 || bcStallRate > 0.0 ||
                dropTransferRate > 0.0 || corruptFirstHitRate > 0.0;
     }
+
+    /** Advance the seed for retry @p attempt (seed += kSeedMixStep *
+     *  attempt), so a retried fault-injected run explores a different
+     *  fault timeline rather than replaying the failure. Attempt 0 and
+     *  a plan that injects nothing keep their seed. */
+    void
+    reseedForRetry(unsigned attempt)
+    {
+        if (attempt > 0 && enabled())
+            seed += kSeedMixStep * attempt;
+    }
 };
 
 /**
@@ -72,7 +88,7 @@ class FaultInjector
   public:
     FaultInjector(const FaultPlan &plan_, std::uint64_t stream)
         : plan(plan_),
-          rng(plan_.seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1)))
+          rng(plan_.seed ^ (kSeedMixStep * (stream + 1)))
     {
     }
 

@@ -30,6 +30,41 @@ writeLatencyJson(json::Writer &w, std::string_view name,
     w.member("p999", s.p999).endObject();
 }
 
+void
+ServiceRow::dumpJsonMembers(json::Writer &w) const
+{
+    w.member("completed", completed).member("deferrals", deferrals);
+    w.member("shedDeadline", shedDeadline);
+    w.member("shedOverload", shedOverload);
+    w.member("queuePeak", queuePeak).member("words", words);
+    writeLatencyJson(w, "queueDelay", queueDelay);
+    writeLatencyJson(w, "serviceLatency", serviceLatency);
+    writeLatencyJson(w, "totalLatency", totalLatency);
+}
+
+void
+ServiceTotals::fill(const ServiceStats &stats, Cycle drain)
+{
+    cycles = drain;
+    completed = stats.completedTotal();
+    words = stats.wordsTotal();
+    if (cycles > 0) {
+        requestsPerKilocycle = static_cast<double>(completed) * 1000.0 /
+                               static_cast<double>(cycles);
+        wordsPerCycle =
+            static_cast<double>(words) / static_cast<double>(cycles);
+    }
+    meanInFlight = stats.meanInFlight();
+    shed = stats.shedTotal();
+    if (completed + shed > 0) {
+        shedRate = static_cast<double>(shed) /
+                   static_cast<double>(completed + shed);
+    }
+    queueDelay = stats.aggregateQueueDelay();
+    serviceLatency = stats.aggregateServiceLatency();
+    totalLatency = stats.aggregateTotalLatency();
+}
+
 ServiceStats::ServiceStats(const std::vector<std::string> &names,
                            Detail detail, const std::string &prefix)
     : ServiceStats(names.size(), detail, prefix, &names)
@@ -333,6 +368,32 @@ LatencySummary
 ServiceStats::aggregateTotalLatency() const
 {
     return summarize(aggregate.totalLatency);
+}
+
+ServiceRow
+ServiceStats::rowOf(const StreamCounters &c)
+{
+    return {c.completed.value(),
+            c.deferrals.value(),
+            c.shedDeadline.value(),
+            c.shedOverload.value(),
+            c.queuePeak.value(),
+            c.wordsRead.value() + c.wordsWritten.value(),
+            summarize(c.queueDelay),
+            summarize(c.serviceLatency),
+            summarize(c.totalLatency)};
+}
+
+ServiceRow
+ServiceStats::row(unsigned stream) const
+{
+    return rowOf(*perStream[stream]);
+}
+
+ServiceRow
+ServiceStats::totalRow() const
+{
+    return rowOf(aggregate);
 }
 
 double

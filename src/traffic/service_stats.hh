@@ -53,6 +53,51 @@ LatencySummary summarize(const LogHistogram &h);
 void writeLatencyJson(json::Writer &w, std::string_view name,
                       const LatencySummary &s);
 
+class ServiceStats;
+
+/**
+ * The service counters of one result row — a traffic run's stream or
+ * a fleet's tenant — as ServiceStats::row and totalRow fill them.
+ */
+struct ServiceRow
+{
+    std::uint64_t completed = 0;
+    std::uint64_t deferrals = 0; ///< Backpressured admission cycles
+    std::uint64_t shedDeadline = 0; ///< Dropped past the deadline budget
+    std::uint64_t shedOverload = 0; ///< Dropped at the high watermark
+    std::uint64_t queuePeak = 0; ///< Deepest bounded-queue occupancy
+    std::uint64_t words = 0;     ///< Elements moved (read + written)
+    LatencySummary queueDelay;
+    LatencySummary serviceLatency;
+    LatencySummary totalLatency;
+
+    /** Write these nine members into @p w's open object. */
+    void dumpJsonMembers(json::Writer &w) const;
+};
+
+/** What a traffic run and a fleet run both report about their service. */
+struct ServiceTotals
+{
+    Cycle cycles = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t words = 0;
+    double requestsPerKilocycle = 0.0; ///< Achieved throughput
+    double wordsPerCycle = 0.0;        ///< Achieved bandwidth
+    double meanInFlight = 0.0; ///< Mean context occupancy (sampled)
+    std::uint64_t shed = 0; ///< Requests dropped (both causes, all streams)
+    /** shed / (completed + shed): the fraction of consumed work the
+     *  arbiter dropped to protect the latency of the rest. */
+    double shedRate = 0.0;
+    LatencySummary queueDelay;
+    LatencySummary serviceLatency;
+    LatencySummary totalLatency;
+
+    /** Reduce @p stats — counters, latency histograms and occupancy
+     *  samples — of a run that drained at @p drain (the rates'
+     *  denominator) into these totals. */
+    void fill(const ServiceStats &stats, Cycle drain);
+};
+
 /** Per-stream and aggregate service accounting. */
 class ServiceStats
 {
@@ -172,6 +217,10 @@ class ServiceStats
     LatencySummary aggregateTotalLatency() const;
     /** Mean in-flight transactions over the sampled cycles. */
     double meanInFlight() const;
+    /** Stream @p stream's row (Detail::PerStream only). */
+    ServiceRow row(unsigned stream) const;
+    /** The aggregate over every stream as one row. */
+    ServiceRow totalRow() const;
     /** @} */
 
   private:
@@ -195,6 +244,7 @@ class ServiceStats
         LogHistogram serviceLatency;
         LogHistogram totalLatency;
     };
+    static ServiceRow rowOf(const StreamCounters &c);
 
     StatSet statSet;
     std::size_t streamCount = 0;

@@ -7,19 +7,9 @@
 #include "fleet/fleet_arbiter.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
-#include "sim/simulation.hh"
-#include "sim/trace.hh"
 
 namespace pva
 {
-
-namespace
-{
-
-/** Fault-seed advance per retry attempt (matches SweepExecutor). */
-constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
-
-} // anonymous namespace
 
 void
 TrafficResult::dumpJson(json::Writer &w) const
@@ -37,15 +27,8 @@ TrafficResult::dumpJson(json::Writer &w) const
     writeLatencyJson(w, "totalLatency", totalLatency);
     w.key("streams").beginArray();
     for (const StreamResult &s : streams) {
-        w.beginObject().member("name", s.name);
-        w.member("requests", s.requests).member("completed", s.completed);
-        w.member("deferrals", s.deferrals);
-        w.member("shedDeadline", s.shedDeadline);
-        w.member("shedOverload", s.shedOverload);
-        w.member("queuePeak", s.queuePeak).member("words", s.words);
-        writeLatencyJson(w, "queueDelay", s.queueDelay);
-        writeLatencyJson(w, "serviceLatency", s.serviceLatency);
-        writeLatencyJson(w, "totalLatency", s.totalLatency);
+        w.beginObject().member("name", s.name).member("requests", s.requests);
+        s.dumpJsonMembers(w);
         w.endObject();
     }
     w.endArray().endObject();
@@ -81,66 +64,30 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
     // The streams are one tenant of the event-driven fleet arbiter,
     // which is cycle-exact against the flat StreamArbiter
     // (tests/test_fleet.cc); the bus has no subscribers.
-    auto sys = makeSystem(config.system, config.config);
     ServiceStats stats(names);
     fleet::MessageBus bus;
     std::vector<fleet::TenantSeat> seats(1);
     seats[0].name = "traffic";
     seats[0].sources = std::move(sources);
     seats[0].stats = &stats;
-    fleet::FleetArbiter arbiter(config.arbiter, std::move(seats), bus);
-    arbiter.applyPokes(sys->memory());
-    PVA_TRACE_BLOCK(
-        if (trace::TraceSession *ts = trace::session())
-            arbiter.setTraceTrack(
-                ts->registerTrack("traffic", "arbiter")););
+    fleet::SeatRun run =
+        fleet::runSeats(config.system, config.config, config.arbiter,
+                        std::move(seats), config.limits, bus, "arbiter");
 
-    Simulation sim(config.config.clocking);
-    sim.add(sys.get());
-    sim.runUntil(
-        [&] {
-            bool done = arbiter.service(*sys, sim.now());
-            // The arbiter is not a Component; its self-scheduled work
-            // (open-loop arrivals, post-change cascades) is posted as
-            // external wakes. No-op under exhaustive clocking.
-            if (!done)
-                sim.requestWake(arbiter.nextWake(sim.now()));
-            return done;
-        },
-        config.limits.maxCycles, config.limits.timeoutMillis);
-
-    TrafficResult r;
-    r.cycles = sim.now();
-    r.simTicks = sim.simTicks();
-    r.cyclesSkipped = sim.cyclesSkipped();
-    r.cyclesPerSecond = sim.cyclesPerSecond();
-    sys->recordSimPerf(r.simTicks, r.cyclesSkipped, r.cyclesPerSecond);
     // The root tier samples occupancy; credit it to the tenant's stats
     // so traffic.agg.cycles/occupancySum dump as the flat arbiter's.
-    stats.onOccupancy(arbiter.occupancyCycles(), arbiter.occupancySum());
-    r.completed = stats.completedTotal();
-    r.words = stats.wordsTotal();
-    if (r.cycles > 0) {
-        r.requestsPerKilocycle = static_cast<double>(r.completed) *
-                                 1000.0 /
-                                 static_cast<double>(r.cycles);
-        r.wordsPerCycle = static_cast<double>(r.words) /
-                          static_cast<double>(r.cycles);
-    }
-    r.meanInFlight = arbiter.meanInFlight();
-    r.shed = stats.shedTotal();
-    if (r.completed + r.shed > 0) {
-        r.shedRate = static_cast<double>(r.shed) /
-                     static_cast<double>(r.completed + r.shed);
-    }
-    r.queueDelay = stats.aggregateQueueDelay();
-    r.serviceLatency = stats.aggregateServiceLatency();
-    r.totalLatency = stats.aggregateTotalLatency();
+    stats.onOccupancy(run.arbiter->occupancyCycles(),
+                      run.arbiter->occupancySum());
+    TrafficResult r;
+    r.fill(stats, run.cycles);
+    r.simTicks = run.simTicks;
+    r.cyclesSkipped = run.cyclesSkipped;
+    r.cyclesPerSecond = run.cyclesPerSecond;
 
     // Bank-controller utilization via the occupancy counters the PVA
     // systems register (bc<i>.schedActiveCycles); baselines have no
     // bank controllers and report 0.
-    const StatSet &sys_stats = sys->stats();
+    const StatSet &sys_stats = run.system->stats();
     unsigned banks = config.config.geometry.banks();
     if (r.cycles > 0 && banks > 0 &&
         sys_stats.hasScalar("bc0.schedActiveCycles")) {
@@ -155,21 +102,8 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
 
     r.streams.reserve(names.size());
     for (unsigned i = 0; i < names.size(); ++i) {
-        StreamResult s;
-        s.name = names[i];
-        s.requests = arbiter.tenant(0).source(i).emitted();
-        s.completed = stats.completed(i);
-        s.deferrals = stats.deferrals(i);
-        s.shedDeadline = stats.shedDeadline(i);
-        s.shedOverload = stats.shedOverload(i);
-        s.queuePeak = stats.queuePeak(i);
-        s.words =
-            stats.set().scalar("traffic." + names[i] + ".wordsRead") +
-            stats.set().scalar("traffic." + names[i] + ".wordsWritten");
-        s.queueDelay = stats.queueDelay(i);
-        s.serviceLatency = stats.serviceLatency(i);
-        s.totalLatency = stats.totalLatency(i);
-        r.streams.push_back(std::move(s));
+        r.streams.push_back({stats.row(i), names[i],
+                             run.arbiter->tenant(0).source(i).emitted()});
     }
     if (stats_dump) {
         stats.set().dump(*stats_dump);
@@ -217,10 +151,7 @@ runLoadSweep(const LoadSweepConfig &config)
             s.mode = ArrivalMode::OpenLoop;
             s.requestsPerKilocycle = per_stream;
         }
-        // A retry of a fault-injected point explores a different
-        // fault timeline rather than replaying the failure.
-        if (attempt > 0 && tc.config.faults.enabled())
-            tc.config.faults.seed += kRetrySeedStep * attempt;
+        tc.config.faults.reseedForRetry(attempt);
         p.result = runTraffic(tc);
     };
 

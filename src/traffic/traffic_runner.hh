@@ -2,15 +2,14 @@
  * @file
  * Orchestration of traffic runs and offered-load sweeps.
  *
- * runTraffic() wires one TrafficConfig — N stream sources, an
- * arbitration policy, one memory system — into a Simulation, runs it
- * to drain under the standard watchdogs, and reduces ServiceStats into
- * a TrafficResult (throughput, latency percentiles, occupancy,
- * bank-controller utilization). The streams are seated as one tenant
- * of the event-driven fleet::FleetArbiter (fleet/fleet_arbiter.hh),
- * whose per-step cost follows events rather than the stream count;
- * the flat StreamArbiter (traffic/arbiter.hh) is the reference it is
- * tested against.
+ * runTraffic() seats one TrafficConfig's N stream sources as one
+ * tenant of the event-driven fleet::FleetArbiter, runs it to drain on
+ * one memory system through fleet::runSeats (fleet/fleet_arbiter.hh) —
+ * the run loop every fleet shard uses too — and reduces ServiceStats
+ * into a TrafficResult (throughput, latency percentiles, occupancy,
+ * bank-controller utilization). The arbiter's per-step cost follows
+ * events rather than the stream count; the flat StreamArbiter
+ * (traffic/arbiter.hh) is the reference it is tested against.
  *
  * runLoadSweep() evaluates a ladder of offered loads across memory
  * systems on the SweepExecutor's generic task engine, inheriting its
@@ -46,41 +45,19 @@ struct TrafficConfig
 };
 
 /** One stream's slice of a TrafficResult. */
-struct StreamResult
+struct StreamResult : ServiceRow
 {
     std::string name;
     std::uint64_t requests = 0;  ///< Generated (admitted) requests
-    std::uint64_t completed = 0;
-    std::uint64_t deferrals = 0; ///< Backpressured admission cycles
-    std::uint64_t shedDeadline = 0; ///< Dropped past the deadline budget
-    std::uint64_t shedOverload = 0; ///< Dropped at the high watermark
-    std::uint64_t queuePeak = 0; ///< Deepest bounded-queue occupancy
-    std::uint64_t words = 0;     ///< Elements moved (read + written)
-    LatencySummary queueDelay;
-    LatencySummary serviceLatency;
-    LatencySummary totalLatency;
 };
 
 /** Outcome of one traffic run. */
-struct TrafficResult
+struct TrafficResult : ServiceTotals
 {
-    Cycle cycles = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t words = 0;
-    double requestsPerKilocycle = 0.0; ///< Achieved throughput
-    double wordsPerCycle = 0.0;        ///< Achieved bandwidth
-    double meanInFlight = 0.0;  ///< Mean context occupancy (sampled)
     double bcUtilization = 0.0; ///< Mean BC scheduler duty cycle (PVA)
-    std::uint64_t shed = 0; ///< Requests dropped (both causes, all streams)
-    /** shed / (completed + shed): the fraction of consumed work the
-     *  arbiter dropped to protect the latency of the rest. */
-    double shedRate = 0.0;
     std::uint64_t simTicks = 0;      ///< Cycles actually processed
     std::uint64_t cyclesSkipped = 0; ///< Cycles jumped (event clocking)
     std::uint64_t cyclesPerSecond = 0; ///< Simulated cycles per wall second
-    LatencySummary queueDelay;
-    LatencySummary serviceLatency;
-    LatencySummary totalLatency;
     std::vector<StreamResult> streams;
 
     /** Deterministic single-object JSON dump. */

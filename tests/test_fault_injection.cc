@@ -12,6 +12,7 @@
 #include <map>
 
 #include "core/pva_unit.hh"
+#include "core/system_config.hh"
 #include "expect_sim_error.hh"
 #include "kernels/sweep_executor.hh"
 #include "sim/logging.hh"
@@ -67,6 +68,32 @@ sumDeviceStat(PvaUnit &sys, const char *suffix)
     for (unsigned b = 0; b < 16; ++b)
         total += sys.stats().scalar(csprintf("dev%u.%s", b, suffix));
     return total;
+}
+
+TEST(FaultInjection, RetryReseedAdvancesOnlyFaultedRetries)
+{
+    // The step every retrying runner (sweep points, load-sweep points,
+    // fleet shards) advances a fault-injected attempt's seed by.
+    constexpr std::uint64_t kStep = 0x9e3779b97f4a7c15ULL;
+    SystemConfig faulted;
+    faulted.faults.seed = 42;
+    faulted.faults.bcStallRate = 0.01;
+
+    SystemConfig first = faulted;
+    first.faults.reseedForRetry(0);
+    EXPECT_EQ(first, faulted);
+    for (unsigned k : {1u, 2u, 7u}) {
+        SystemConfig retry = faulted;
+        retry.faults.reseedForRetry(k);
+        EXPECT_EQ(retry.faults.seed, 42 + kStep * k) << "attempt " << k;
+        retry.faults.seed = faulted.faults.seed;
+        EXPECT_EQ(retry, faulted) << "only the seed moves";
+    }
+
+    const SystemConfig clean;
+    SystemConfig retry = clean;
+    retry.faults.reseedForRetry(3);
+    EXPECT_EQ(retry, clean);
 }
 
 TEST(FaultInjection, DroppedTransfersAreRecoveredWithCorrectData)

@@ -289,21 +289,26 @@ validateOptions(const LoadgenOptions &opts)
     }
 }
 
-TrafficConfig
-trafficConfigFor(const LoadgenOptions &opts)
+/**
+ * Map the flags a traffic run and a fleet run share — system,
+ * arbitration, shedding and limits — onto @p c (a TrafficConfig or a
+ * FleetConfig), and return the arrival mode --mode and --trace ask for.
+ */
+template <typename RunConfig>
+ArrivalMode
+applySharedOptions(const LoadgenOptions &opts, RunConfig &c)
 {
-    TrafficConfig tc;
-    tc.system = systemKindFor(opts.system);
-    tc.config = opts.config;
-    if (!parseArbPolicy(opts.policy, tc.arbiter.policy))
+    c.system = systemKindFor(opts.system);
+    c.config = opts.config;
+    if (!parseArbPolicy(opts.policy, c.arbiter.policy))
         fatal("unknown policy '%s' (try: fifo rr priority)",
               opts.policy.c_str());
-    tc.arbiter.agingThreshold = opts.aging;
-    tc.arbiter.shed.enabled = opts.shed;
-    tc.arbiter.shed.defaultDeadline = opts.deadline;
-    tc.arbiter.shed.queueHighWatermark = opts.shedWatermark;
-    tc.limits.maxCycles = opts.maxCycles;
-    tc.limits.timeoutMillis = opts.pointTimeout;
+    c.arbiter.agingThreshold = opts.aging;
+    c.arbiter.shed.enabled = opts.shed;
+    c.arbiter.shed.defaultDeadline = opts.deadline;
+    c.arbiter.shed.queueHighWatermark = opts.shedWatermark;
+    c.limits.maxCycles = opts.maxCycles;
+    c.limits.timeoutMillis = opts.pointTimeout;
 
     ArrivalMode mode;
     if (opts.mode == "closed")
@@ -313,9 +318,34 @@ trafficConfigFor(const LoadgenOptions &opts)
     else
         fatal("unknown mode '%s' (try: closed open)",
               opts.mode.c_str());
-    if (!opts.tracePath.empty())
-        mode = ArrivalMode::Trace;
+    return opts.tracePath.empty() ? mode : ArrivalMode::Trace;
+}
 
+/** The queue, service and total latency lines of a human-readable
+ *  traffic or fleet report. */
+void
+printLatencies(const ServiceTotals &r)
+{
+    auto line = [](const char *name, const LatencySummary &s) {
+        std::printf("  %-8s mean %8.1f  p50 %6llu  p95 %6llu  "
+                    "p99 %6llu  p999 %6llu  max %6llu\n",
+                    name, s.mean,
+                    static_cast<unsigned long long>(s.p50),
+                    static_cast<unsigned long long>(s.p95),
+                    static_cast<unsigned long long>(s.p99),
+                    static_cast<unsigned long long>(s.p999),
+                    static_cast<unsigned long long>(s.max));
+    };
+    line("queue", r.queueDelay);
+    line("service", r.serviceLatency);
+    line("total", r.totalLatency);
+}
+
+TrafficConfig
+trafficConfigFor(const LoadgenOptions &opts)
+{
+    TrafficConfig tc;
+    const ArrivalMode mode = applySharedOptions(opts, tc);
     for (unsigned i = 0; i < opts.streams; ++i) {
         StreamConfig s;
         s.mode = mode;
@@ -424,19 +454,7 @@ runOnce(const ToolApp &app, const LoadgenOptions &opts)
                 static_cast<unsigned long long>(r.simTicks),
                 static_cast<unsigned long long>(r.cyclesSkipped),
                 static_cast<unsigned long long>(r.cyclesPerSecond));
-    auto line = [](const char *name, const LatencySummary &s) {
-        std::printf("  %-8s mean %8.1f  p50 %6llu  p95 %6llu  "
-                    "p99 %6llu  p999 %6llu  max %6llu\n",
-                    name, s.mean,
-                    static_cast<unsigned long long>(s.p50),
-                    static_cast<unsigned long long>(s.p95),
-                    static_cast<unsigned long long>(s.p99),
-                    static_cast<unsigned long long>(s.p999),
-                    static_cast<unsigned long long>(s.max));
-    };
-    line("queue", r.queueDelay);
-    line("service", r.serviceLatency);
-    line("total", r.totalLatency);
+    printLatencies(r);
     for (const StreamResult &s : r.streams) {
         std::printf("  %s: %llu/%llu done, deferrals %llu, "
                     "queue peak %llu, total p99 %llu\n",
@@ -455,23 +473,13 @@ fleet::FleetConfig
 fleetConfigFor(const LoadgenOptions &opts)
 {
     fleet::FleetConfig fc;
-    fc.system = systemKindFor(opts.system);
-    fc.config = opts.config;
-    if (!parseArbPolicy(opts.policy, fc.arbiter.policy))
-        fatal("unknown policy '%s' (try: fifo rr priority)",
-              opts.policy.c_str());
-    fc.arbiter.agingThreshold = opts.aging;
-    fc.arbiter.shed.enabled = opts.shed;
-    fc.arbiter.shed.defaultDeadline = opts.deadline;
-    fc.arbiter.shed.queueHighWatermark = opts.shedWatermark;
-    fc.limits.maxCycles = opts.maxCycles;
-    fc.limits.timeoutMillis = opts.pointTimeout;
+    fleet::TenantSpec spec;
+    spec.stream.mode = applySharedOptions(opts, fc);
     fc.shards = opts.shards;
     fc.jobs = opts.jobs;
     fc.retries = opts.retries;
     fc.perStreamStats = opts.perStreamStats;
 
-    fleet::TenantSpec spec;
     spec.count = opts.tenants;
     spec.streamsPerTenant = opts.streamsPerTenant;
     spec.stream.window = opts.window;
@@ -480,13 +488,6 @@ fleetConfigFor(const LoadgenOptions &opts)
     spec.stream.queueCapacity = opts.queueCap;
     spec.stream.seed = opts.seed;
     spec.stream.pattern = opts.pattern;
-    if (opts.mode == "closed")
-        spec.stream.mode = ArrivalMode::ClosedLoop;
-    else if (opts.mode == "open")
-        spec.stream.mode = ArrivalMode::OpenLoop;
-    else
-        fatal("unknown mode '%s' (try: closed open)",
-              opts.mode.c_str());
     // Disjoint per-stream regions, same policy as the flat path.
     spec.regionStrideWords = opts.pattern.regionWords;
     fc.tenants.push_back(std::move(spec));
@@ -532,19 +533,7 @@ runFleetOnce(const ToolApp &app, const LoadgenOptions &opts)
                     static_cast<unsigned long long>(r.shed),
                     100.0 * r.shedRate);
     }
-    auto line = [](const char *name, const LatencySummary &s) {
-        std::printf("  %-8s mean %8.1f  p50 %6llu  p95 %6llu  "
-                    "p99 %6llu  p999 %6llu  max %6llu\n",
-                    name, s.mean,
-                    static_cast<unsigned long long>(s.p50),
-                    static_cast<unsigned long long>(s.p95),
-                    static_cast<unsigned long long>(s.p99),
-                    static_cast<unsigned long long>(s.p999),
-                    static_cast<unsigned long long>(s.max));
-    };
-    line("queue", r.queueDelay);
-    line("service", r.serviceLatency);
-    line("total", r.totalLatency);
+    printLatencies(r);
     if (opts.stats) {
         for (const fleet::TenantResult &t : r.tenantResults) {
             std::printf("  %s (shard %u): %llu arrivals, %llu done, "
